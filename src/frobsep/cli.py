@@ -226,12 +226,16 @@ def _cmd_scan(args, config: RunConfig, out) -> int:
     with open(args.corpus, "r", encoding="utf-8") as fh:
         corpus = json.load(fh)
     base = os.path.dirname(os.path.abspath(args.corpus))
-    pairs = []
-    for file_a, file_b in corpus["pairs"]:
-        curve_a = CurveSpec.from_path(os.path.join(base, file_a))
-        curve_b = CurveSpec.from_path(os.path.join(base, file_b))
-        pairs.append((_table(curve_a, args.pmax, config),
-                      _table(curve_b, args.pmax, config)))
+    tables: dict[CurveSpec, store.TraceTable] = {}   # each distinct curve counted once
+
+    def table_of(name):
+        curve = CurveSpec.from_path(os.path.join(base, name))
+        if curve not in tables:
+            tables[curve] = _table(curve, args.pmax, config)
+        return tables[curve]
+
+    pairs = [(table_of(file_a), table_of(file_b))
+             for file_a, file_b in corpus["pairs"]]
     records = separation.separation_scan(pairs, args.pmax)
     out.write(separation.scan_csv(records))
     searched = [r for r in records if not r.note.startswith("skipped")]

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BoundaryCase, IncompleteTable, WeilViolation
+from .errors import (BoundaryCase, FrobsepError, IncompleteTable,
+                     WeilViolation)
 from .store import TraceTable, sieve_primes
 
 CSV_HEADER = "labelA,labelB,N,N2,least_prime,log_bound,ratio"
@@ -95,7 +96,8 @@ def least_separating_prime(table_a: TraceTable, table_b: TraceTable,
 
 def separation_scan(pairs, p_max: int) -> list[SeparationRecord]:
     """One record per table pair; identical labels are skipped with a note,
-    per-pair failures are recorded and the scan continues."""
+    per-pair `FrobsepError`s are recorded and the scan continues; any other
+    exception is a bug and propagates."""
     records = []
     for table_a, table_b in pairs:
         if table_a.curve_label == table_b.curve_label:
@@ -108,7 +110,7 @@ def separation_scan(pairs, p_max: int) -> list[SeparationRecord]:
             continue
         try:
             records.append(least_separating_prime(table_a, table_b, p_max))
-        except Exception as exc:  # collected, scan continues
+        except FrobsepError as exc:  # data errors are collected, scan continues
             records.append(SeparationRecord(
                 label_a=table_a.curve_label, label_b=table_b.curve_label,
                 conductor_a=table_a.conductor, conductor_b=table_b.conductor,

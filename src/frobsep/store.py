@@ -182,12 +182,13 @@ def bad_prime_sets(curve: CurveSpec, p_max: int) -> tuple[list[int], list[int]]:
 # CSV round trip
 
 
-def to_csv_text(table: TraceTable) -> str:
-    lines = [
-        f"{METADATA_PREFIX} label={table.curve_label} conductor={table.conductor} "
-        f"genus={table.genus} provenance={table.provenance}",
-        CSV_HEADER,
-    ]
+def to_csv_text(table: TraceTable, model: str | None = None) -> str:
+    """CSV text; a bucket's `model` fingerprint joins the metadata line."""
+    meta = (f"{METADATA_PREFIX} label={table.curve_label} conductor={table.conductor} "
+            f"genus={table.genus} provenance={table.provenance}")
+    if model is not None:
+        meta += f" model={model}"
+    lines = [meta, CSV_HEADER]
     for e in table.entries:
         if e.good:
             lpoly = ";".join(str(c) for c in e.lpoly) if e.lpoly else ""
@@ -197,14 +198,19 @@ def to_csv_text(table: TraceTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_csv_text(text: str) -> TraceTable:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(METADATA_PREFIX):
+def _parse_metadata(line: str) -> dict[str, str]:
+    if not line.startswith(METADATA_PREFIX):
         raise SchemaError("missing trace-table metadata line")
-    meta = dict(kv.split("=", 1) for kv in lines[0][len(METADATA_PREFIX):].split())
+    meta = dict(kv.split("=", 1) for kv in line[len(METADATA_PREFIX):].split())
     for key in ("label", "conductor", "genus", "provenance"):
         if key not in meta:
             raise SchemaError(f"metadata line lacks {key}")
+    return meta
+
+
+def from_csv_text(text: str) -> TraceTable:
+    lines = text.splitlines()
+    meta = _parse_metadata(lines[0] if lines else "")
     if len(lines) < 2 or lines[1] != CSV_HEADER:
         raise SchemaError(f"header must be exactly {CSV_HEADER!r}")
     entries = []
@@ -236,14 +242,15 @@ def from_csv_text(text: str) -> TraceTable:
     return replace(table, entries=tuple(entries))
 
 
-def export_csv(table: TraceTable, path: str | os.PathLike) -> None:
+def export_csv(table: TraceTable, path: str | os.PathLike,
+               model: str | None = None) -> None:
     """Write atomically: readers only ever observe complete files."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(to_csv_text(table))
+            fh.write(to_csv_text(table, model))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -289,22 +296,39 @@ def _bucket_path(cache_dir, label: str, lo: int) -> Path:
     return Path(cache_dir) / f"{label}.b{lo // CACHE_BUCKET:04d}.csv"
 
 
+def _model_fingerprint(curve: CurveSpec) -> str:
+    """Canonical f and h, ascending and trimmed: `f0,f1,.../h0,h1,...`."""
+    return "/".join(",".join(str(c) for c in coeffs) for coeffs in (curve.f, curve.h))
+
+
 def _cached_bucket(curve, lo, with_lpoly, ceiling, fp2_ceiling,
                    cache_dir, workers) -> tuple[PrimeTrace, ...]:
+    """One full bucket from the cache, counted and rewritten when stale.
+
+    A file for another declaration of the label (conductor, genus or model)
+    is a conflict.  A file without a model fingerprint, or whose primes are
+    not exactly those of the bucket, is stale.
+    """
     path = _bucket_path(cache_dir, curve.label, lo)
+    model = _model_fingerprint(curve)
+    primes = [p for p in sieve_primes(lo + CACHE_BUCKET - 1) if p >= lo]
     if path.exists():
-        cached = import_csv(path)
-        if (cached.conductor, cached.genus) != (curve.conductor, curve.genus):
+        with open(path, "r", encoding="utf-8") as fh:
+            meta = _parse_metadata(fh.readline())
+        if ((int(meta["conductor"]), int(meta["genus"]), meta.get("model", model))
+                != (curve.conductor, curve.genus, model)):
             raise ConflictError(
                 f"cache file {path} was built for a different declaration of "
                 f"{curve.label!r}")
-        if not (with_lpoly and curve.genus == 2
-                and any(e.good and e.lpoly is None for e in cached.entries)):
-            return cached.entries
-    primes = [p for p in sieve_primes(lo + CACHE_BUCKET - 1) if p >= lo]
+        if "model" in meta:
+            cached = import_csv(path)
+            fresh = [e.p for e in cached.entries] == primes
+            if fresh and not (with_lpoly and curve.genus == 2 and any(
+                    e.good and e.lpoly is None for e in cached.entries)):
+                return cached.entries
     entries = tuple(_compute_entries(curve, primes, with_lpoly, ceiling,
                                      fp2_ceiling, workers))
     bucket = TraceTable(curve_label=curve.label, conductor=curve.conductor,
                         genus=curve.genus, entries=entries)
-    export_csv(bucket, path)
+    export_csv(bucket, path, model)
     return entries

@@ -116,6 +116,23 @@ class TestScan:
         assert lines[1].split(",")[4] == "5"
         assert lines[-1].startswith("# max_ratio=")
 
+    def test_each_distinct_curve_counted_once(self, curve_json, tmp_path,
+                                              monkeypatch):
+        from frobsep import store
+
+        corpus = tmp_path / "corpus.json"
+        a, b = str(curve_json["11a1"]), str(curve_json["37a1"])
+        corpus.write_text(json.dumps({"pairs": [[a, b], [b, a], [a, b]]}),
+                          encoding="utf-8")
+        counted = []
+        compute_range = store.compute_range
+        monkeypatch.setattr(store, "compute_range", lambda curve, *args, **kw:
+                            counted.append(curve.label) or compute_range(curve, *args, **kw))
+        code, text = run_cli(["scan", str(corpus), "--pmax", "100"])
+        assert code == 0
+        assert counted == ["11a1", "37a1"]
+        assert [line.split(",")[4] for line in text.splitlines()[1:4]] == ["5"] * 3
+
 
 class TestKernelCheck:
     def test_table(self):

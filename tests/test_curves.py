@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from frobsep import (CurveSpec, count_points, count_points_Fp2, euler_factor,
                      frobenius_trace, unitarized_eigenangles)
+from frobsep import curves
 from frobsep.curves import eigenangles_from_trace
 from frobsep.errors import (BadReduction, CeilingExceeded, NonUnitaryRoots,
                             UnsupportedModel, ValidationError)
@@ -40,6 +42,53 @@ class TestCountPoints:
                 assert n == oracles.enumerate_points(curve, p)
                 if p > 2:
                     assert n == oracles.legendre_count(curve, p)
+
+
+class TestGroupOrderRoute:
+    """Baby-step giant-step counts against the sweep, which stays the reference."""
+
+    MID_PRIMES = [p for p in oracles.primes_upto(20_000) if p > curves.MESTRE_BOUND]
+
+    @staticmethod
+    def _both_routes(curve, p):
+        big = [c % p for c in curves._square_completed(curve.f, curve.h)]
+        return curves._count_points_bsgs(big, p), curves._count_points_sweep(curve, p, big)
+
+    def test_equals_sweep_to_1e4(self, c11, c37, c32):
+        c15 = CurveSpec.elliptic("15a1", (1, 1, 1, -10, -10), 15)  # Z/4 x Z/2 torsion
+        for curve in (c11, c37, c32, c15):
+            for p in (q for q in self.MID_PRIMES if q <= 10_000):
+                if not curve.good_reduction(p):
+                    continue
+                via_bsgs, via_sweep = self._both_routes(curve, p)
+                assert via_bsgs == via_sweep, (curve.label, p)
+                if curve is c32 and p % 4 == 3:
+                    assert via_bsgs == p + 1           # CM: supersingular
+                if curve is c15:
+                    assert via_bsgs % 8 == 0           # Z/4 x Z/2 injects into E(F_p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+           st.sampled_from(MID_PRIMES))
+    def test_random_models_match_legendre_oracle(self, a_invariants, p):
+        try:
+            curve = CurveSpec.elliptic("rand", a_invariants, 1)
+        except ValidationError:
+            assume(False)
+        assume(curve.good_reduction(p))
+        assert count_points(curve, p) == oracles.legendre_count(curve, p)
+
+    def test_route_choice_and_fallback(self, c11, monkeypatch):
+        swept = []
+        sweep = curves._count_points_sweep
+        monkeypatch.setattr(curves, "_count_points_sweep",
+                            lambda curve, p, big: swept.append(p) or sweep(curve, p, big))
+        for p in (curves.MESTRE_BOUND, 233):
+            assert count_points(c11, p) == oracles.legendre_count(c11, p)
+        assert swept == [curves.MESTRE_BOUND]
+        monkeypatch.setattr(curves, "_BSGS_POINT_BUDGET", 0)
+        assert count_points(c11, 1009) == oracles.legendre_count(c11, 1009)
+        assert swept == [curves.MESTRE_BOUND, 1009]
 
 
 class TestFrobeniusTrace:

@@ -105,8 +105,18 @@ class TestScan:
         short = TraceTable(curve_label="short", conductor=3,
                            genus=1, entries=t37.entries[:2])
         records = separation_scan([(t11, short), (t11, t37)], 2000)
-        assert records[0].note.startswith("error")
+        assert records[0].note.startswith("error: short: table lacks prime")
         assert records[1].least_prime == 5
+
+    def test_programming_error_propagates(self, t11, t37, monkeypatch):
+        from frobsep import separation
+
+        def broken(*args):
+            raise TypeError("bug inside a pair")
+
+        monkeypatch.setattr(separation, "least_separating_prime", broken)
+        with pytest.raises(TypeError, match="bug inside a pair"):
+            separation_scan([(t11, t37)], 100)
 
     def test_csv_summary_row(self, t11, t37):
         records = separation_scan([(t11, t37)], 2000)

@@ -144,6 +144,8 @@ class TestCache:
         first = compute_range(c11, 250, cache_dir=tmp_path)
         files = sorted(f.name for f in tmp_path.iterdir())
         assert files == ["11a1.b0000.csv", "11a1.b0001.csv"]
+        meta = (tmp_path / "11a1.b0000.csv").read_text().splitlines()[0]
+        assert meta.endswith(" model=-20,-10,-1,1/1")
         again = compute_range(c11, 250, cache_dir=tmp_path)
         assert first == again
 
@@ -155,6 +157,52 @@ class TestCache:
         other = CurveSpec.elliptic("11a1", (0, -1, 1, -10, -20), 77)
         with pytest.raises(ConflictError):
             compute_range(other, 100, cache_dir=tmp_path)
+
+    def test_redeclared_model_rejected(self, tmp_path, monkeypatch):
+        import frobsep.store as store_mod
+
+        monkeypatch.setattr(store_mod, "CACHE_BUCKET", 100)
+        first = CurveSpec.elliptic("E", (0, -1, 1, -10, -20), 11)    # 11a1
+        second = CurveSpec.elliptic("E", (0, 0, 1, -1, 0), 11)       # 37a1
+        assert compute_range(first, 199, cache_dir=tmp_path).entry(101).a_p == 2
+        with pytest.raises(ConflictError):
+            compute_range(second, 199, cache_dir=tmp_path)
+        assert compute_range(second, 199).entry(101).a_p == 3
+
+    @staticmethod
+    def _rewrite_bucket(path, edit):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+
+    def test_bucket_without_fingerprint_is_recounted(self, c11, tmp_path,
+                                                     monkeypatch):
+        import frobsep.store as store_mod
+
+        monkeypatch.setattr(store_mod, "CACHE_BUCKET", 100)
+        truth = compute_range(c11, 199, cache_dir=tmp_path)
+        path = tmp_path / "11a1.b0001.csv"
+
+        def unfingerprinted_and_wrong(lines):
+            # a bucket from before fingerprints, with a wrong a_101 = 2 + 1
+            assert lines[2] == "101,1,100,2,"
+            return [lines[0].split(" model=")[0], lines[1], "101,1,99,3,",
+                    *lines[3:]]
+
+        self._rewrite_bucket(path, unfingerprinted_and_wrong)
+        assert compute_range(c11, 199, cache_dir=tmp_path) == truth
+        assert " model=" in path.read_text().splitlines()[0]
+
+    def test_bucket_missing_a_prime_is_recounted(self, c11, tmp_path,
+                                                 monkeypatch):
+        import frobsep.store as store_mod
+
+        monkeypatch.setattr(store_mod, "CACHE_BUCKET", 100)
+        truth = compute_range(c11, 199, cache_dir=tmp_path)
+        path = tmp_path / "11a1.b0001.csv"
+        complete = path.read_text()
+        self._rewrite_bucket(path, lambda lines: lines[:3] + lines[4:])
+        assert compute_range(c11, 199, cache_dir=tmp_path) == truth
+        assert path.read_text() == complete
 
 
 class TestValidation:
