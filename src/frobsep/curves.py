@@ -162,29 +162,51 @@ def _binary_sextic_discriminant(coeffs: list[int]) -> int:
     root, i.e. when the completed-square model is singular (p odd).  Degree
     drops are handled by the SL2-invariance of the form discriminant:
     translate until the constant term is nonzero, then invert x -> 1/x.
+    Degree 6 is then -Res(F, F') / a6, the resultant by a fraction-free
+    determinant of the Sylvester matrix.
     """
-    import sympy
-
     cs = list(coeffs) + [0] * (7 - len(coeffs))
-    x = sympy.Symbol("x")
     if all(c == 0 for c in cs):
         return 0
     if cs[6] == 0:
         if cs[0] == 0:
-            poly = sympy.Poly(sum(c * x ** i for i, c in enumerate(cs)), x)
-            for t in range(1, 8):
-                shifted = poly.shift(t)
-                new = [int(shifted.coeff_monomial(x ** i)) for i in range(7)]
-                if new[0] != 0:
-                    cs = new
-                    break
-            else:
-                return 0  # seven integer roots force the zero form
+            # a nonzero form of degree <= 5 vanishes at no more than 5 integers
+            cs = next(new for new in (_taylor_shift(cs, t) for t in range(1, 7))
+                      if new[0] != 0)
         cs = cs[::-1]
-    if cs[6] == 0:
-        # reversed form still degenerate: double root at infinity
-        return 0
-    return int(sympy.Poly(sum(c * x ** i for i, c in enumerate(cs)), x).discriminant())
+    deriv = [i * c for i, c in enumerate(cs)][1:]
+    top, dtop = cs[::-1], deriv[::-1]          # descending, as Sylvester rows
+    rows = ([[0] * i + top + [0] * (4 - i) for i in range(5)]
+            + [[0] * i + dtop + [0] * (5 - i) for i in range(6)])
+    return -_bareiss_det(rows) // cs[6]
+
+
+def _taylor_shift(cs: list[int], t: int) -> list[int]:
+    """Ascending coefficients of F(x + t), by repeated synthetic division."""
+    out = list(cs)
+    n = len(out)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += t * out[j + 1]
+    return out
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    m = [row[:] for row in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ class PsiPairEvaluator:
         self.b = TautologicalEvaluator(table_b)
         self.g = table_a.genus
         self.g2 = table_b.genus
-        self.delta = symplectic.psi_character(self.g, self.g2).metadata.delta
+        self.delta = symplectic.psi_character(self.g, self.g2).trivial_coefficient
         self.label = f"psi[{table_a.curve_label},{table_b.curve_label}]"
 
     def good(self, p: int) -> bool:

@@ -29,7 +29,6 @@ MAX_TENSOR_RANK: Final = 3            # order**g quadrature nodes
 INTEGRALITY_TOL: Final = 1e-3
 COINCIDENCE_TOL: Final = 1e-6         # |cos t_i - cos t_j| below this is confluent
 JITTER_EPS: Final = 1e-7
-T_SEARCH_GRID: Final = 512
 
 Partition = tuple[int, ...]
 
@@ -343,10 +342,6 @@ class VirtualCharacter:
     def trivial_coefficient(self) -> int:
         return self.terms.get(tuple(() for _ in self.gs), 0)
 
-    @property
-    def max_degree(self) -> int:
-        return max((sum(sum(p) for p in key) for key in self.terms), default=0)
-
     def to_json(self) -> dict:
         doc: dict = {"g": self.gs[0], "terms": []}
         if self.is_product_group:
@@ -531,7 +526,9 @@ def psi_character(g: int, g2: int) -> VirtualCharacter:
     chi = box_product(VirtualCharacter((g,), {(p,): c for p, c in f1.items()}),
                       VirtualCharacter((g2,), {(p,): c for p, c in f2.items()}))
     d_chi = chi.total_dimension
-    t_chi = character_max(chi)
+    # factor ranges [-g^2, 8g^2] and [-g'^2, 8g'^2]; the product peaks at
+    # the corner t = -2g, t' = 2g'
+    t_chi = float(64 * g * g * g2 * g2)
     meta = AnalyticMetadata(
         d_chi=d_chi,
         delta=chi.trivial_coefficient,
@@ -543,65 +540,6 @@ def psi_character(g: int, g2: int) -> VirtualCharacter:
     )
     object.__setattr__(chi, "metadata", meta)
     return chi
-
-
-def _factor_range(terms: Mapping[Partition, int], g: int) -> tuple[float, float]:
-    chi = VirtualCharacter((g,), {(p,): c for p, c in terms.items()})
-    return (-_max_on_group(lambda th: -_virtual_values(chi, th), g),
-            _max_on_group(lambda th: _virtual_values(chi, th), g))
-
-
-def _virtual_values(chi: VirtualCharacter, thetas: np.ndarray) -> np.ndarray:
-    g = chi.gs[0]
-    out = np.zeros(np.atleast_2d(thetas).shape[0])
-    for (parts,), coeff in chi.terms.items():
-        out = out + coeff * _char_values(parts, g, thetas)
-    return out
-
-
-def _max_on_group(values_fn, g: int, grid: int = T_SEARCH_GRID) -> float:
-    """Grid search on [0, pi]^g refined by bounded local ascent."""
-    from scipy import optimize
-
-    axis = np.linspace(0.0, math.pi, grid)
-    thetas = np.array(list(itertools.product(axis, repeat=g)))
-    vals = values_fn(thetas)
-    best = int(np.argmax(vals))
-    x0 = thetas[best]
-    res = optimize.minimize(
-        lambda th: -float(values_fn(np.array([th]))[0]),
-        x0, method="L-BFGS-B", bounds=[(0.0, math.pi)] * g)
-    return max(float(vals[best]), float(-res.fun))
-
-
-def character_max(chi: VirtualCharacter, grid: int = T_SEARCH_GRID) -> float:
-    """t_chi: maximum of the character over the group (lower-bound estimate)."""
-    if chi.is_product_group:
-        if chi.box_factors is None:
-            raise UnsupportedModel(
-                "t_chi for non-factorizable product-group characters is not computed")
-        (f1, f2) = chi.box_factors
-        lo1, hi1 = _factor_range(f1, chi.gs[0])
-        lo2, hi2 = _factor_range(f2, chi.gs[1])
-        return max(a * b for a in (lo1, hi1) for b in (lo2, hi2))
-    return _max_on_group(lambda th: _virtual_values(chi, th), chi.gs[0], grid)
-
-
-def virtual_metadata(chi: VirtualCharacter, conductor: int | None = None,
-                     grid: int = T_SEARCH_GRID) -> AnalyticMetadata:
-    """Generic metadata for a virtual character from its term decomposition."""
-    d_chi = chi.total_dimension
-    t_chi = character_max(chi, grid)
-    w_chi = chi.max_degree
-    return AnalyticMetadata(
-        d_chi=d_chi,
-        delta=chi.trivial_coefficient,
-        w_chi=w_chi,
-        t_chi=t_chi,
-        gamma_chi_bound=d_chi,
-        n_chi_bound=max(math.ceil(t_chi), d_chi),
-        b_bound=(conductor, d_chi),
-    )
 
 
 def weight_metadata(weight: DominantWeight,

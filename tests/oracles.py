@@ -2,11 +2,14 @@
 
 Everything here recomputes from definitions: exhaustive enumeration over
 all affine pairs, explicit Legendre symbols, schoolbook quadratic
-extensions.  None of it shares code with the production counting paths.
+extensions, sympy discriminants, and a numerical search for the maximum
+of a character over the group.  None of it shares code with the
+production counting paths or the closed-form t_chi.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -156,3 +159,71 @@ def tail_double_sum(evaluator, x: float, a: float) -> float:
                 total += evaluator.value(p, r) * weight
         r += 1
     return total
+
+
+def sextic_discriminant(coeffs) -> int:
+    """Binary-form discriminant of a formal sextic through sympy.
+
+    A vanishing a6 puts a root at infinity, so the form discriminant is
+    a5^2 times the quintic's discriminant, and 0 when the root is double.
+    """
+    import sympy
+
+    cs = [int(c) for c in coeffs] + [0] * (7 - len(coeffs))
+    if not any(cs):
+        return 0
+    x = sympy.Symbol("x")
+    if cs[6] != 0:
+        return int(sympy.discriminant(sympy.Poly(cs[::-1], x)))
+    if cs[5] == 0:
+        return 0
+    return cs[5] ** 2 * int(sympy.discriminant(sympy.Poly(cs[5::-1], x)))
+
+
+T_SEARCH_GRID = 512
+
+
+def _virtual_values(terms, g: int, thetas: np.ndarray) -> np.ndarray:
+    """Sum of coeff * sp_lambda at angle rows thetas, terms keyed by lambda."""
+    from frobsep.symplectic import _char_values
+
+    out = np.zeros(np.atleast_2d(thetas).shape[0])
+    for parts, coeff in terms.items():
+        out = out + coeff * _char_values(parts, g, thetas)
+    return out
+
+
+def _max_on_group(values_fn, g: int, grid: int = T_SEARCH_GRID) -> float:
+    """Grid search on [0, pi]^g refined by bounded local ascent."""
+    from scipy import optimize
+
+    axis = np.linspace(0.0, math.pi, grid)
+    thetas = np.array(list(itertools.product(axis, repeat=g)))
+    vals = values_fn(thetas)
+    best = int(np.argmax(vals))
+    res = optimize.minimize(
+        lambda th: -float(values_fn(np.array([th]))[0]),
+        thetas[best], method="L-BFGS-B", bounds=[(0.0, math.pi)] * g)
+    return max(float(vals[best]), float(-res.fun))
+
+
+def _factor_range(terms, g: int) -> tuple[float, float]:
+    return (-_max_on_group(lambda th: -_virtual_values(terms, g, th), g),
+            _max_on_group(lambda th: _virtual_values(terms, g, th), g))
+
+
+def character_max(chi, grid: int = T_SEARCH_GRID) -> float:
+    """t_chi by search: the maximum of the character over the group.
+
+    A product-group character must be a box product; its maximum is the
+    largest product of the two factors' range endpoints.
+    """
+    if chi.is_product_group:
+        if chi.box_factors is None:
+            raise ValueError("product-group search needs a box product")
+        lo1, hi1 = _factor_range(chi.box_factors[0], chi.gs[0])
+        lo2, hi2 = _factor_range(chi.box_factors[1], chi.gs[1])
+        return max(a * b for a in (lo1, hi1) for b in (lo2, hi2))
+    terms = {parts: c for (parts,), c in chi.terms.items()}
+    return _max_on_group(lambda th: _virtual_values(terms, chi.gs[0], th),
+                         chi.gs[0], grid)

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import frobsep
 from frobsep.cli import main
 
 
@@ -167,3 +172,39 @@ class TestConfig:
     def test_missing_file_is_validation_error(self):
         code, _ = run_cli(["count", "/nonexistent/curve.json", "--pmax", "10"])
         assert code == 2
+
+
+class TestRuntimeImports:
+    """sum and delta run without scipy.optimize and sympy."""
+
+    PROBE = (
+        "import runpy, sys\n"
+        "sys.argv, code = ['frobsep'] + sys.argv[1:], None\n"
+        "try:\n"
+        "    runpy.run_module('frobsep', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print('exit', code, sorted(m for m in ('scipy.optimize', 'sympy')\n"
+        "                           if m in sys.modules))\n"
+    )
+
+    def run_module(self, args, cwd):
+        src = str(Path(frobsep.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "FROBSEP_CACHE"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", self.PROBE, *args], cwd=cwd,
+                              env=env, capture_output=True, text=True, check=True)
+        return done.stdout.splitlines()[-1]
+
+    def test_sum_genus1_genus2(self, curve_json, g2b, tmp_path):
+        g2_path = tmp_path / "g2b.json"
+        g2_path.write_text(json.dumps(g2b.to_json()), encoding="utf-8")
+        last = self.run_module(["--cache-dir", str(tmp_path / "cache"), "sum",
+                                str(curve_json["11a1"]), str(g2_path),
+                                "--x", "1e3"], tmp_path)
+        assert last == "exit 0 []"
+
+    def test_delta_22(self, tmp_path):
+        assert self.run_module(["delta", "--g", "2", "--g2", "2"],
+                               tmp_path) == "exit 0 []"

@@ -212,6 +212,52 @@ class TestCurveSpec:
     def test_known_discriminant(self, c11):
         assert c11.discriminant == -161051   # -11^5
 
+    # genus-2 discriminants as computed through sympy, frozen as literals
+    FROZEN_GENUS2 = [
+        ("g2a", (1, 0, 0, 0, 0, 1), (), 3276800000),
+        ("g2b", (0, 0, 0, 0, 1, 1), (1, 1, 0, 1), -692224),
+        # genus-2 models of the seed-7 benchmark scan corpus
+        ("s7-8", (0, -2, 2, -2, 2, -2), (1, 1, 1, 1), -693370880),
+        ("s7-9", (2, 1, 0, 0, -1, -1), (0, 1, 1, 1), -2559328256),
+        ("s7-10", (1, 0, 2, -2, -2, 2, 1), (0, 1, 0, 1), -2898339364864),
+        ("s7-11", (1, -2, -2, 2, 2, 0, 1), (1, 1, 1), -5045127299072),
+    ]
+    FROZEN_FORMS = [
+        ([1, 2, 3, 4, 5, 6, 7], -157351936),
+        ([1, 0, 0, 0, 0, 1, 0], 3125),                 # a6 = 0: reversal
+        ([0, 1, 0, 0, 0, 1, 0], 256),                  # a6 = a0 = 0: shift by 1
+        ([0, -2, 2, 0, -1, 1, 0], -3888),              # root at 1: shift by 2
+        ([0, 10, -13, 4, -2, 1, 0], -11265100),        # roots 0, 1, 2: shift by 3
+        ([0, -42, 71, -31, 1, 1, 0], 3657830400),      # roots 0..3: shift by 4
+        ([0, 24, -50, 35, -10, 1, 0], 82944),          # roots 0..4: shift by 5
+        ([0, 0, 1, 0, -1, 0, 0], 0),                   # double root at 0
+        ([0, 1, -3, 2, 0, 0, 0], 0),                   # double root at infinity
+        ([0, 0, 0, 0, 0, 0, 1], 0),
+        ([3, 0, 0, 0, 0, 0, 0], 0),
+        ([0] * 7, 0),
+    ]
+
+    def test_frozen_genus2_discriminants(self):
+        for label, f, h, disc in self.FROZEN_GENUS2:
+            assert CurveSpec.hyperelliptic(label, f, h, 1).discriminant == disc, label
+
+    def test_frozen_form_discriminants(self):
+        for coeffs, disc in self.FROZEN_FORMS:
+            assert curves._binary_sextic_discriminant(coeffs) == disc, coeffs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-20, 20), min_size=7, max_size=7),
+           st.sampled_from(["full", "a6=0", "a0=a6=0", "zero"]))
+    def test_discriminant_matches_sympy_oracle(self, coeffs, shape):
+        if shape != "full":
+            coeffs[6] = 0
+        if shape in ("a0=a6=0", "zero"):
+            coeffs[0] = 0
+        if shape == "zero":
+            coeffs = [0] * 7
+        assert (curves._binary_sextic_discriminant(coeffs)
+                == oracles.sextic_discriminant(coeffs))
+
     def test_singular_model_rejected(self):
         with pytest.raises(ValidationError):
             CurveSpec.elliptic("sing", (0, 0, 0, 0, 0), 1)   # y^2 = x^3

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from frobsep import laurent
 from frobsep import symplectic as sy
 from frobsep.errors import NonIntegral, OrderTooSmall, PoleInput
@@ -165,11 +166,15 @@ class TestPsiCharacter:
         assert psi.value(pt) == pytest.approx(1.0, abs=1e-9)
 
     def test_metadata(self):
-        for g, g2 in [(1, 1), (2, 1), (2, 2)]:
+        for g, g2 in [(1, 1), (1, 2), (2, 1), (2, 2)]:
             psi = sy.psi_character(g, g2)
-            assert psi.metadata.d_chi == 64 * g * g * g2 * g2
-            assert psi.metadata.w_chi == 2
-            assert psi.metadata.t_chi == pytest.approx(64 * g * g * g2 * g2, rel=1e-6)
+            d = 64 * g * g * g2 * g2
+            assert psi.metadata == sy.AnalyticMetadata(
+                d_chi=d, delta=1, w_chi=2, t_chi=float(d), gamma_chi_bound=d,
+                n_chi_bound=d, b_bound=(None, d))
+            # closed form against the grid-and-ascent search
+            assert psi.metadata.t_chi == pytest.approx(
+                oracles.character_max(psi), abs=1e-6)
 
     def test_evaluation_matches_trace_formula(self):
         psi = sy.psi_character(1, 2)
@@ -231,7 +236,7 @@ class TestCharacterMax:
             for parts in [(1,), (2,)] + ([(1, 1)] if g == 2 else []):
                 chi = sy.VirtualCharacter((g,), {(parts,): 1})
                 d = sy.dimension(sy.DominantWeight(g, parts))
-                assert sy.character_max(chi) == pytest.approx(d, abs=1e-6)
+                assert oracles.character_max(chi) == pytest.approx(d, abs=1e-6)
 
 
 class TestDuplication:
