@@ -11,8 +11,8 @@ from .separation import (SeparationRecord, least_separating_prime, psi_value,
 from .store import TraceTable, compute_range, export_csv, import_csv, merge
 from .symplectic import (AnalyticMetadata, DominantWeight, TorusPoint,
                          VirtualCharacter, adams2, char_value, dimension,
-                         duplication_check, fs_indicator, inner_product,
-                         psi_character, trivial_multiplicity, weyl_integrate)
+                         fs_indicator, inner_product, psi_character,
+                         trivial_multiplicity, weyl_integrate)
 
 __version__ = "0.1.0"
 
@@ -21,8 +21,8 @@ __all__ = [
     "KernelSumReport", "PrimeTrace", "SeparationRecord", "TorusPoint",
     "TraceTable", "VirtualCharacter", "adams2", "bach_kernel",
     "bach_kernel_contour", "char_value", "chebyshev_sum", "compute_range",
-    "count_points", "count_points_Fp2", "dimension", "duplication_check",
-    "euler_factor", "export_csv", "frobenius_trace", "fs_indicator",
+    "count_points", "count_points_Fp2", "dimension", "euler_factor",
+    "export_csv", "frobenius_trace", "fs_indicator",
     "import_csv", "inner_product", "lambda_term", "least_separating_prime",
     "merge", "prime_power_tail", "psi_character", "psi_value",
     "separation_scan", "sign_criterion_equivalence", "trivial_multiplicity",

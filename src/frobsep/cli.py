@@ -128,19 +128,18 @@ def _table(curve: CurveSpec, p_max: int, config: RunConfig,
 def _cmd_count(args, config: RunConfig, out) -> int:
     curve = CurveSpec.from_path(args.curve)
     table = _table(curve, args.pmax, config, with_lpoly=args.lpoly)
-    good = sum(1 for e in table.entries if e.good)
-    bad = len(table.entries) - good
+    good = int(table.good.sum())
     print(f"curve {curve.label} genus {curve.genus} conductor {curve.conductor}",
           file=out)
-    print(f"primes <= {args.pmax}: {len(table.entries)} ({good} good, {bad} bad)",
-          file=out)
+    print(f"primes <= {args.pmax}: {len(table.p)} ({good} good, "
+          f"{len(table.p) - good} bad)", file=out)
     by_n, by_disc = store.bad_prime_sets(curve, args.pmax)
     if by_n != by_disc:
         print(f"bad-prime sets differ: conductor {by_n} vs discriminant {by_disc}",
               file=out)
-    for e in table.entries[:5]:
-        trace = e.a_p if e.good else "bad"
-        print(f"  p={e.p} a_p={trace}", file=out)
+    for p, is_good, a_p in zip(table.p[:5].tolist(), table.good[:5].tolist(),
+                               table.a_p[:5].tolist()):
+        print(f"  p={p} a_p={a_p if is_good else 'bad'}", file=out)
     return EXIT_OK
 
 

@@ -215,23 +215,15 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 @dataclass(frozen=True)
 class PrimeTrace:
-    """Frobenius data of one prime: point count, trace, optional local factor."""
+    """Frobenius data of one good prime: point count and trace."""
 
     p: int
-    good: bool
-    point_count_fp: int | None
-    a_p: int | None
-    lpoly: tuple[int, ...] | None = None
+    point_count_fp: int
+    a_p: int
 
     @property
     def a_p_normalized(self) -> float:
-        if self.a_p is None:
-            raise ValueError(f"no trace stored at bad prime {self.p}")
         return self.a_p / math.sqrt(self.p)
-
-    @classmethod
-    def bad(cls, p: int) -> "PrimeTrace":
-        return cls(p=p, good=False, point_count_fp=None, a_p=None, lpoly=None)
 
 
 def _check_good(curve: CurveSpec, p: int):
@@ -387,7 +379,7 @@ def frobenius_trace(curve: CurveSpec, p: int, *,
     if a * a > 4 * curve.genus * curve.genus * p:
         raise ValidationError(
             f"{curve.label}: |a_{p}| = {abs(a)} violates the Weil bound")
-    return PrimeTrace(p=p, good=True, point_count_fp=n, a_p=a)
+    return PrimeTrace(p=p, point_count_fp=n, a_p=a)
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +537,3 @@ def unitarized_eigenangles(lpoly, p: int) -> tuple[float, ...]:
     if abs(trace - a_norm) > ANGLE_TRACE_TOL * max(1.0, abs(a_norm)):
         raise NonUnitaryRoots(f"angle trace {trace} != normalized trace {a_norm}")
     return thetas
-
-
-def eigenangles_from_trace(a_p: int, p: int) -> tuple[float]:
-    """Genus-1 shortcut: the single angle from the normalized trace."""
-    c = a_p / (2.0 * math.sqrt(p))
-    return (math.acos(min(1.0, max(-1.0, c))),)

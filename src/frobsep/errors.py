@@ -66,15 +66,11 @@ class OrderTooSmall(FrobsepError):
     """Quadrature order below the supported minimum."""
 
 
-# --- kernels and Gamma utilities
+# --- kernels
 
 
 class DomainError(FrobsepError):
     """Argument outside of the mathematical domain of the function."""
-
-
-class PoleInput(FrobsepError):
-    """Evaluation requested at a pole."""
 
 
 # --- separation

@@ -1,17 +1,20 @@
 """Character evaluators: map stored Frobenius data to values chi(y_p^r).
 
-Prime powers evaluate characters at powered conjugacy classes, so r >= 2
-needs eigenvalue angles; genus-1 angles come straight from the trace,
-genus-2 angles need the stored quartic Euler factor.
+Every evaluator works on an array of primes at once and returns one value
+per prime, read from the trace table's columns.  Prime powers evaluate
+characters at powered conjugacy classes, so r >= 2 needs eigenvalue
+angles; genus-1 angles come straight from the trace column, genus-2 angles
+need the stored quartic Euler factors.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Protocol
 
+import numpy as np
+
 from . import symplectic
-from .curves import eigenangles_from_trace, unitarized_eigenangles
+from .curves import unitarized_eigenangles
 from .errors import MissingEigendata
 from .store import TraceTable
 
@@ -20,8 +23,8 @@ class CharacterEvaluator(Protocol):
     delta: int
     label: str
 
-    def good(self, p: int) -> bool: ...
-    def value(self, p: int, r: int = 1) -> float: ...
+    def good(self, primes: np.ndarray) -> np.ndarray: ...
+    def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray: ...
     def missing_prime(self, x: float) -> int | None: ...
 
 
@@ -31,11 +34,11 @@ class TrivialEvaluator:
     delta = 1
     label = "trivial"
 
-    def good(self, p: int) -> bool:
-        return True
+    def good(self, primes: np.ndarray) -> np.ndarray:
+        return np.ones(len(primes), dtype=bool)
 
-    def value(self, p: int, r: int = 1) -> float:
-        return 1.0
+    def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray:
+        return np.ones(len(primes))
 
     def missing_prime(self, x: float) -> int | None:
         return None
@@ -48,31 +51,28 @@ class TautologicalEvaluator:
         self.table = table
         self.delta = 0
         self.label = f"V[{table.curve_label}]"
-        self._angles: dict[int, tuple[float, ...]] = {}
 
-    def good(self, p: int) -> bool:
-        e = self.table.entry(p)
-        return e is not None and e.good
+    def good(self, primes: np.ndarray) -> np.ndarray:
+        return np.isin(primes, self.table.p[self.table.good])
 
-    def value(self, p: int, r: int = 1) -> float:
-        e = self.table.entry(p)
+    def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray:
         if r == 1:
-            return e.a_p_normalized
-        return sum(2.0 * math.cos(r * t) for t in self._eigenangles(p))
+            return self.table.a_p[self.table.rows(primes)] / np.sqrt(primes)
+        return (2.0 * np.cos(r * self.angles(primes))).sum(axis=1)
 
-    def _eigenangles(self, p: int) -> tuple[float, ...]:
-        cached = self._angles.get(p)
-        if cached is None:
-            e = self.table.entry(p)
-            if self.table.genus == 1:
-                cached = eigenangles_from_trace(e.a_p, p)
-            elif e.lpoly is not None:
-                cached = unitarized_eigenangles(e.lpoly, p)
-            else:
-                raise MissingEigendata(
-                    f"{self.table.curve_label}: p={p} has no stored Euler factor")
-            self._angles[p] = cached
-        return cached
+    def angles(self, primes: np.ndarray) -> np.ndarray:
+        """Eigenvalue angles in [0, pi], one row of g per prime."""
+        rows = self.table.rows(primes)
+        if self.table.genus == 1:
+            cosines = self.table.a_p[rows] / (2.0 * np.sqrt(primes))
+            return np.arccos(np.clip(cosines, -1.0, 1.0))[:, None]
+        lpoly = self.table.lpoly
+        lacking = primes[lpoly[rows, 0] != 1] if lpoly is not None else primes
+        if lacking.size:
+            raise MissingEigendata(f"{self.table.curve_label}: p={lacking[0]} "
+                                   f"has no stored Euler factor")
+        return np.array([unitarized_eigenangles(row, p) for row, p
+                         in zip(lpoly[rows], primes.tolist())]).reshape(-1, 2)
 
     def missing_prime(self, x: float) -> int | None:
         return self.table.missing_prime(int(x))
@@ -89,12 +89,12 @@ class PsiPairEvaluator:
         self.delta = symplectic.psi_character(self.g, self.g2).trivial_coefficient
         self.label = f"psi[{table_a.curve_label},{table_b.curve_label}]"
 
-    def good(self, p: int) -> bool:
-        return self.a.good(p) and self.b.good(p)
+    def good(self, primes: np.ndarray) -> np.ndarray:
+        return self.a.good(primes) & self.b.good(primes)
 
-    def value(self, p: int, r: int = 1) -> float:
-        t = self.a.value(p, r)
-        t2 = self.b.value(p, r)
+    def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray:
+        t = self.a.values(primes, r)
+        t2 = self.b.values(primes, r)
         return t * t2 * (t - 2 * self.g) * (t2 + 2 * self.g2)
 
     def missing_prime(self, x: float) -> int | None:
@@ -118,20 +118,12 @@ class VirtualCharEvaluator:
         self.label = "chi[" + ",".join(t.curve_label for t in self.tables) + "]"
         self._taut = [TautologicalEvaluator(t) for t in self.tables]
 
-    def good(self, p: int) -> bool:
-        return all(e.good(p) for e in self._taut)
+    def good(self, primes: np.ndarray) -> np.ndarray:
+        return np.logical_and.reduce([e.good(primes) for e in self._taut])
 
-    def value(self, p: int, r: int = 1) -> float:
-        folded = []
-        for taut in self._taut:
-            folded.append(tuple(symplectic.fold_angle(r * t)
-                                for t in taut._eigenangles(p)))
-        point = symplectic.TorusPoint(*folded)
-        return self.chi.value(point)
+    def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray:
+        return self.chi.values(*(symplectic.fold_angle(r * taut.angles(primes))
+                                 for taut in self._taut))
 
     def missing_prime(self, x: float) -> int | None:
-        for taut in self._taut:
-            missing = taut.missing_prime(x)
-            if missing is not None:
-                return missing
-        return None
+        return next(filter(None, (t.missing_prime(x) for t in self._taut)), None)

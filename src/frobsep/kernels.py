@@ -3,8 +3,10 @@
 The smoothing weight (Nm p^r / x)^a * log(x / Nm p^r) is the closed form of
 the contour kernel with a double pole at s = -a; at the default a = 1/4 the
 residue of the weighted sum's pole at s = 1 is (16/25) * delta(chi) * x.
-All sums run over good primes in ascending order with compensated
-accumulation, so results are bit-identical across runs and worker counts.
+Every sum multiplies an array of character values by an array of weights
+and adds the products with `math.fsum`, which is correctly rounded: the
+result does not depend on the order of the primes, so it is bit-identical
+across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Final
+
+import numpy as np
 
 from .errors import DomainError, IncompleteTable
 from .evaluators import CharacterEvaluator
@@ -55,20 +59,6 @@ class KernelSumReport:
                 self.residual_over_sqrtx, self.residual_over_sqrtx_log3)
         return ",".join([f"{v:.12g}" for v in nums]
                         + [str(self.primes_used), str(self.bad_primes_skipped)])
-
-
-class _KahanSum:
-    """Compensated accumulator; ascending-order adds are reproducible."""
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, value: float):
-        y = value - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +117,22 @@ def bach_kernel_contour(y: float, a: float, T: float) -> float:
 # weighted prime sums
 
 
+def _terms(evaluator: CharacterEvaluator, primes: np.ndarray, r: int,
+           x: float, a: float) -> np.ndarray:
+    """Summands at the good primes among `primes`, with q = p^r <= x: the
+    eigenvalue power sum times the kernel weight log p * (q/x)^a * log(x/q)."""
+    primes = primes[evaluator.good(primes)]
+    q = primes ** r
+    return evaluator.values(primes, r) * (np.log(primes) * (q / x) ** a
+                                          * np.log(x / q))
+
+
 def lambda_term(evaluator: CharacterEvaluator, p: int, r: int, x: float,
                 params: KernelParams) -> float:
     """One summand: eigenvalue power sum times the kernel weight at Nm p^r."""
-    q = p ** r
-    if q > x:
-        raise DomainError(f"p^r={q} exceeds x={x}")
-    if q == x:
-        return 0.0
-    weight = math.log(p) * (q / x) ** params.a * math.log(x / q)
-    return evaluator.value(p, r) * weight
+    if p ** r > x:
+        raise DomainError(f"p^r={p ** r} exceeds x={x}")
+    return math.fsum(_terms(evaluator, np.array([p]), r, x, params.a).tolist())
 
 
 def weighted_sum(evaluator: CharacterEvaluator,
@@ -150,26 +146,21 @@ def weighted_sum(evaluator: CharacterEvaluator,
     missing = evaluator.missing_prime(x)
     if missing is not None:
         raise IncompleteTable(f"table lacks prime {missing} <= x={x}")
-    acc = _KahanSum()
-    used = skipped = 0
-    for p in sieve_primes(int(x)):
-        if not evaluator.good(p):
-            skipped += 1
-            continue
-        used += 1
-        acc.add(lambda_term(evaluator, p, 1, x, params))
+    primes = sieve_primes(int(x))
+    terms = _terms(evaluator, primes, 1, x, params.a)
+    total = math.fsum(terms.tolist())
     main = evaluator.delta * x / (1.0 + params.a) ** 2
-    residual = acc.total - main
+    residual = total - main
     logx = math.log(x)
     return KernelSumReport(
         x=x,
-        sum_value=acc.total,
+        sum_value=total,
         main_term=main,
         residual=residual,
         residual_over_sqrtx=residual / math.sqrt(x),
         residual_over_sqrtx_log3=residual / (math.sqrt(x) * logx ** 3),
-        primes_used=used,
-        bad_primes_skipped=skipped,
+        primes_used=len(terms),
+        bad_primes_skipped=len(primes) - len(terms),
     )
 
 
@@ -181,17 +172,13 @@ def prime_power_tail(evaluator: CharacterEvaluator, x: float,
     missing = evaluator.missing_prime(math.isqrt(int(x)))
     if missing is not None:
         raise IncompleteTable(f"table lacks prime {missing} <= sqrt(x)")
-    acc = _KahanSum()
-    r = 2
-    while 2 ** r <= x:
-        for p in sieve_primes(int(x ** (1.0 / r)) + 1):
-            if p ** r > x:
-                break
-            if evaluator.good(p):
-                acc.add(lambda_term(evaluator, p, r, x, params))
-        r += 1
-    ratio = acc.total / (math.sqrt(x) * math.log(x) ** 3)
-    return acc.total, ratio
+    terms = []
+    for r in range(2, int(x).bit_length()):      # every r with 2^r <= x
+        primes = sieve_primes(int(x ** (1.0 / r)) + 1)
+        terms.extend(_terms(evaluator, primes[primes ** r <= x], r, x,
+                            params.a).tolist())
+    total = math.fsum(terms)
+    return total, total / (math.sqrt(x) * math.log(x) ** 3)
 
 
 def li(x: float) -> float:
@@ -211,8 +198,6 @@ def chebyshev_sum(evaluator: CharacterEvaluator, x: float) -> tuple[float, float
     missing = evaluator.missing_prime(x)
     if missing is not None:
         raise IncompleteTable(f"table lacks prime {missing} <= x={x}")
-    acc = _KahanSum()
-    for p in sieve_primes(int(x)):
-        if evaluator.good(p):
-            acc.add(evaluator.value(p, 1))
-    return acc.total, evaluator.delta * li(x)
+    primes = sieve_primes(int(x))
+    total = math.fsum(evaluator.values(primes[evaluator.good(primes)], 1).tolist())
+    return total, evaluator.delta * li(x)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (BoundaryCase, FrobsepError, IncompleteTable,
-                     WeilViolation)
+import numpy as np
+
+from .errors import BoundaryCase, FrobsepError, WeilViolation
 from .store import TraceTable, sieve_primes
 
 CSV_HEADER = "labelA,labelB,N,N2,least_prime,log_bound,ratio"
@@ -67,20 +68,12 @@ def least_separating_prime(table_a: TraceTable, table_b: TraceTable,
                            p_max: int) -> SeparationRecord:
     """Smallest prime, good for both curves, where the integer traces have
     strictly opposite signs; zero traces never qualify."""
-    for t in (table_a, table_b):
-        missing = t.missing_prime(p_max)
-        if missing is not None:
-            raise IncompleteTable(
-                f"{t.curve_label}: table lacks prime {missing} <= {p_max}")
-    found = None
-    for p in sieve_primes(p_max):
-        ea = table_a.entry(p)
-        eb = table_b.entry(p)
-        if not (ea.good and eb.good):
-            continue
-        if ea.a_p * eb.a_p < 0:
-            found = p
-            break
+    primes = sieve_primes(p_max)
+    rows_a, rows_b = table_a.rows(primes), table_b.rows(primes)
+    hits = np.flatnonzero(
+        table_a.good[rows_a] & table_b.good[rows_b]
+        & (np.sign(table_a.a_p[rows_a]) * np.sign(table_b.a_p[rows_b]) < 0))
+    found = int(primes[hits[0]]) if hits.size else None
     bound = log_bound(table_a.conductor, table_b.conductor)
     return SeparationRecord(
         label_a=table_a.curve_label,

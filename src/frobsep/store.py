@@ -1,29 +1,31 @@
-"""Persisted per-curve Frobenius trace tables.
+"""Per-curve Frobenius trace tables: read-only numpy columns, kept as CSV.
 
-Tables are CSV files with a fixed header and one metadata comment line, so
-expensive counts happen once; cache files hold one full bucket of primes
-each and are written atomically (temp file + rename, single writer).  All
-stored values are integers; normalized traces are recomputed on demand to
-avoid precision drift.
+A table's invariants are checked on whole columns when it is built.  On
+disk it is a CSV file with a fixed header and one metadata comment line,
+so expensive counts happen once; cache files hold one full bucket of
+primes each and are written atomically (temp file + rename, single
+writer).  All stored values are integers; normalized traces are
+recomputed on demand to avoid precision drift.
 """
 
 from __future__ import annotations
 
+import array
+import functools
 import os
 import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Final, Iterable
+from typing import Final
 
 import numpy as np
 
 from .curves import (DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING, CurveSpec,
-                     PrimeTrace, euler_factor, frobenius_trace,
-                     unitarized_eigenangles)
-from .errors import (CeilingExceeded, ConflictError, NonUnitaryRoots,
-                     SchemaError, ValidationError)
+                     euler_factor, frobenius_trace, unitarized_eigenangles)
+from .errors import (CeilingExceeded, ConflictError, IncompleteTable,
+                     NonUnitaryRoots, SchemaError, ValidationError)
 
 CSV_HEADER: Final = "p,good,count_fp,a_p,lpoly"
 METADATA_PREFIX: Final = "# frobsep-trace-table"
@@ -33,26 +35,33 @@ _LABEL_RE: Final = re.compile(r"^[A-Za-z0-9._-]+$")
 _PARALLEL_THRESHOLD: Final = 500          # primes; below this fork overhead loses
 
 
-def sieve_primes(n: int) -> list[int]:
-    """All primes <= n, ascending."""
-    if n < 2:
-        return []
-    flags = np.ones(n + 1, dtype=bool)
+def sieve_primes(n: int) -> np.ndarray:
+    """All primes <= n, ascending, as int64."""
+    flags = np.ones(max(n + 1, 2), dtype=bool)
     flags[:2] = False
     for p in range(2, int(n ** 0.5) + 1):
         if flags[p]:
             flags[p * p:: p] = False
-    return [int(p) for p in np.flatnonzero(flags)]
+    return np.flatnonzero(flags).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceTable:
-    """Ordered Frobenius data for one curve, bad primes flagged and empty."""
+    """Frobenius data of one curve as read-only columns, one row per prime.
+
+    `p` (int64) ascends strictly; `good` flags good reduction; `a_p` (int64)
+    is 0 at bad primes.  `lpoly` is None or an (n, 2g+1) int64 array of
+    ascending Euler-factor coefficients, with an all-zero row where no
+    factor is stored.  #C(F_p) = p + 1 - a_p is derived, not stored.
+    """
 
     curve_label: str
     conductor: int
     genus: int
-    entries: tuple[PrimeTrace, ...]
+    p: np.ndarray
+    a_p: np.ndarray
+    good: np.ndarray
+    lpoly: np.ndarray | None = None
     provenance: str = "computed"
 
     def __post_init__(self):
@@ -60,53 +69,81 @@ class TraceTable:
             raise ValidationError(f"label {self.curve_label!r} not filesystem-safe")
         if self.provenance not in ("computed", "imported"):
             raise ValidationError(f"unknown provenance {self.provenance!r}")
-        last = 0
-        for e in self.entries:
-            if e.p <= last:
-                raise ValidationError(f"primes not strictly ascending at p={e.p}")
-            last = e.p
-            self._check_entry(e)
-
-    def _check_entry(self, e: PrimeTrace, line: int | None = None):
-        if e.good:
-            if e.point_count_fp is None or e.a_p is None:
-                raise ValidationError(f"good prime {e.p} lacks count/trace", line)
-            if e.a_p != e.p + 1 - e.point_count_fp:
-                raise ValidationError(f"p={e.p}: a_p != p + 1 - #C(F_p)", line)
-            if e.a_p * e.a_p > 4 * self.genus * self.genus * e.p:
-                raise ValidationError(f"p={e.p}: Weil bound violated", line)
-            if e.lpoly is not None:
-                if len(e.lpoly) != 2 * self.genus + 1 or e.lpoly[1] != -e.a_p:
-                    raise ValidationError(f"p={e.p}: L-polynomial mismatch", line)
+        if self.genus not in (1, 2):
+            raise ValidationError(f"unsupported genus {self.genus}")
+        for name, dtype in (("p", np.int64), ("a_p", np.int64), ("good", bool),
+                            ("lpoly", np.int64)):
+            values = getattr(self, name)
+            if values is not None:
                 try:
-                    unitarized_eigenangles(e.lpoly, e.p)
-                except NonUnitaryRoots as exc:
-                    raise ValidationError(f"p={e.p}: {exc}", line) from None
-        else:
-            if e.a_p is not None or e.point_count_fp is not None or e.lpoly is not None:
-                raise ValidationError(f"bad prime {e.p} carries trace data", line)
+                    col = np.array(values, dtype=dtype)
+                except OverflowError:
+                    raise ValidationError(f"{name} value does not fit in int64") from None
+                col.setflags(write=False)
+                object.__setattr__(self, name, col)
+        if self.lpoly is not None and not self.lpoly.any():
+            object.__setattr__(self, "lpoly", None)    # no row stores a factor
+        n = len(self.p)
+        if self.a_p.shape != (n,) or self.good.shape != (n,) or (
+                self.lpoly is not None and self.lpoly.shape != (n, 2 * self.genus + 1)):
+            raise ValidationError("columns must be n rows, lpoly n x (2g+1)")
+        invalid = _first_invalid_row(self.genus, self.p, self.good, self.a_p,
+                                     self.lpoly)
+        if invalid is not None:
+            raise ValidationError(invalid[1])
 
-    def entry(self, p: int) -> PrimeTrace | None:
-        return self._by_prime().get(p)
+    def __eq__(self, other):
+        if not isinstance(other, TraceTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
-    def _by_prime(self) -> dict[int, PrimeTrace]:
-        cached = getattr(self, "_index", None)
-        if cached is None:
-            cached = {e.p: e for e in self.entries}
-            object.__setattr__(self, "_index", cached)
-        return cached
+    def rows(self, primes: np.ndarray) -> np.ndarray:
+        """Row index of each of `primes`; every one must be in the table."""
+        absent = primes[~np.isin(primes, self.p)]
+        if absent.size:
+            raise IncompleteTable(
+                f"{self.curve_label}: table lacks prime {absent[0]}")
+        return np.searchsorted(self.p, primes)
 
     def missing_prime(self, p_max: int) -> int | None:
-        """First prime <= p_max without an entry, or None when fully covered."""
-        have = self._by_prime()
-        for p in sieve_primes(p_max):
-            if p not in have:
-                return p
-        return None
+        """First prime <= p_max without a row, or None when fully covered."""
+        primes = sieve_primes(p_max)
+        absent = primes[~np.isin(primes, self.p)]
+        return int(absent[0]) if absent.size else None
 
-    @property
-    def max_prime(self) -> int:
-        return self.entries[-1].p if self.entries else 0
+
+def _first_invalid_row(g, p, good, a_p, lpoly, count=None) -> tuple[int, str] | None:
+    """(row, message) of the first row that breaks an invariant, else None.
+
+    The Weil bound and the point count are compared as Python integers, so
+    no int64 product can wrap.  `count` is the CSV's #C(F_p) column.
+    """
+    big_p, big_a = p.astype(object), a_p.astype(object)
+    if lpoly is None:
+        lpoly = np.zeros((len(p), 2), dtype=np.int64)
+    stored = lpoly.any(axis=1)
+    checks = [
+        (np.diff(p, prepend=0) <= 0, "primes not strictly ascending at p={}"),
+        (~good & ((a_p != 0) | stored), "bad prime {} carries trace data"),
+        (good & (big_a * big_a > 4 * g * g * big_p), "p={}: Weil bound violated"),
+        (stored & ((lpoly[:, 0] != 1) | (lpoly[:, 1] != -a_p)),
+         "p={}: L-polynomial mismatch"),
+    ]
+    if count is not None:
+        checks.insert(2, (good & (count.astype(object) != big_p + 1 - big_a),
+                          "p={}: a_p != p + 1 - #C(F_p)"))
+    failing = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    first = int(failing[0]) if failing.size else len(p)
+    for row in np.flatnonzero(stored[:first]):
+        try:
+            unitarized_eigenangles(lpoly[row], int(p[row]))
+        except NonUnitaryRoots as exc:
+            return int(row), f"p={p[row]}: {exc}"
+    if first == len(p):
+        return None
+    message = next(msg for mask, msg in checks if mask[first])
+    return first, message.format(p[first])
 
 
 def compute_range(curve: CurveSpec, p_max: int, *,
@@ -122,22 +159,22 @@ def compute_range(curve: CurveSpec, p_max: int, *,
     """
     if p_max > ceiling:
         raise CeilingExceeded(f"p_max={p_max} above counting ceiling {ceiling}")
-    entries: list[PrimeTrace] = []
+    blocks = []
     for lo in range(0, p_max + 1, CACHE_BUCKET):
         hi = min(lo + CACHE_BUCKET - 1, p_max)
-        full_bucket = hi == lo + CACHE_BUCKET - 1
-        if cache_dir is not None and full_bucket:
-            entries.extend(_cached_bucket(curve, lo, with_lpoly, ceiling,
-                                          fp2_ceiling, cache_dir, workers))
+        primes = sieve_primes(hi)
+        primes = primes[primes >= lo]
+        if cache_dir is not None and hi == lo + CACHE_BUCKET - 1:
+            blocks.append(_cached_bucket(curve, lo, primes, with_lpoly, ceiling,
+                                         fp2_ceiling, cache_dir, workers))
         else:
-            primes = [p for p in sieve_primes(hi) if p >= lo]
-            entries.extend(_compute_entries(curve, primes, with_lpoly,
-                                            ceiling, fp2_ceiling, workers))
-    return TraceTable(curve_label=curve.label, conductor=curve.conductor,
-                      genus=curve.genus, entries=tuple(entries))
+            blocks.append(_compute_block(curve, primes, with_lpoly, ceiling,
+                                         fp2_ceiling, workers))
+    return functools.reduce(merge, blocks)
 
 
-def _compute_entries(curve, primes, with_lpoly, ceiling, fp2_ceiling, workers):
+def _compute_block(curve, primes, with_lpoly, ceiling, fp2_ceiling,
+                   workers) -> TraceTable:
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers > 1 and len(primes) >= _PARALLEL_THRESHOLD:
@@ -145,25 +182,27 @@ def _compute_entries(curve, primes, with_lpoly, ceiling, fp2_ceiling, workers):
         chunks = [primes[i: i + size] for i in range(0, len(primes), size)]
         args = [(curve, chunk, with_lpoly, ceiling, fp2_ceiling) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_count_block, args))
-        return [e for block in blocks for e in block]
-    return _count_block((curve, list(primes), with_lpoly, ceiling, fp2_ceiling))
+            return functools.reduce(merge, pool.map(_count_block, args))
+    return _count_block((curve, primes, with_lpoly, ceiling, fp2_ceiling))
 
 
-def _count_block(args) -> list[PrimeTrace]:
+def _count_block(args) -> TraceTable:
     curve, primes, with_lpoly, ceiling, fp2_ceiling = args
-    out = []
-    for p in primes:
+    with_lpoly = with_lpoly and curve.genus == 2
+    factors = []        # Euler factor, or just (1, -a_p), per good prime
+    for p in primes.tolist():
         if curve.is_bad(p):
-            out.append(PrimeTrace.bad(p))
-        elif with_lpoly and curve.genus == 2:
-            lpoly = euler_factor(curve, p, ceiling=ceiling, fp2_ceiling=fp2_ceiling)
-            n = p + 1 + lpoly[1]
-            out.append(PrimeTrace(p=p, good=True, point_count_fp=n,
-                                  a_p=-lpoly[1], lpoly=lpoly))
+            factors.append(None)
+        elif with_lpoly:
+            factors.append(euler_factor(curve, p, ceiling=ceiling,
+                                        fp2_ceiling=fp2_ceiling))
         else:
-            out.append(frobenius_trace(curve, p, ceiling=ceiling))
-    return out
+            factors.append((1, -frobenius_trace(curve, p, ceiling=ceiling).a_p))
+    return TraceTable(curve_label=curve.label, conductor=curve.conductor,
+                      genus=curve.genus, p=primes,
+                      a_p=[-f[1] if f else 0 for f in factors],
+                      good=[f is not None for f in factors],
+                      lpoly=[f or (0,) * 5 for f in factors] if with_lpoly else None)
 
 
 def bad_prime_sets(curve: CurveSpec, p_max: int) -> tuple[list[int], list[int]]:
@@ -173,8 +212,9 @@ def bad_prime_sets(curve: CurveSpec, p_max: int) -> tuple[list[int], list[int]]:
     the discrepancy when the two disagree.
     """
     disc = abs(curve.discriminant)
-    by_n = [p for p in sieve_primes(p_max) if curve.conductor % p == 0]
-    by_disc = [p for p in sieve_primes(p_max) if disc % p == 0]
+    primes = sieve_primes(p_max).tolist()
+    by_n = [p for p in primes if curve.conductor % p == 0]
+    by_disc = [p for p in primes if disc % p == 0]
     return by_n, by_disc
 
 
@@ -189,57 +229,86 @@ def to_csv_text(table: TraceTable, model: str | None = None) -> str:
     if model is not None:
         meta += f" model={model}"
     lines = [meta, CSV_HEADER]
-    for e in table.entries:
-        if e.good:
-            lpoly = ";".join(str(c) for c in e.lpoly) if e.lpoly else ""
-            lines.append(f"{e.p},1,{e.point_count_fp},{e.a_p},{lpoly}")
+    lpoly = table.lpoly.tolist() if table.lpoly is not None else None
+    rows = zip(table.p.tolist(), table.good.tolist(), table.a_p.tolist())
+    for i, (p, good, a_p) in enumerate(rows):
+        if good:
+            factor = ";".join(map(str, lpoly[i])) if lpoly and lpoly[i][0] else ""
+            lines.append(f"{p},1,{p + 1 - a_p},{a_p},{factor}")
         else:
-            lines.append(f"{e.p},0,,,")
+            lines.append(f"{p},0,,,")
     return "\n".join(lines) + "\n"
 
 
-def _parse_metadata(line: str) -> dict[str, str]:
+def _parse_metadata(line: str) -> dict:
+    """Metadata key/value pairs; conductor and genus come back as ints."""
     if not line.startswith(METADATA_PREFIX):
         raise SchemaError("missing trace-table metadata line")
-    meta = dict(kv.split("=", 1) for kv in line[len(METADATA_PREFIX):].split())
+    tokens = line[len(METADATA_PREFIX):].split()
+    if not all("=" in kv for kv in tokens):
+        raise SchemaError(f"metadata token without '=' in {line!r}")
+    meta = dict(kv.split("=", 1) for kv in tokens)
     for key in ("label", "conductor", "genus", "provenance"):
         if key not in meta:
             raise SchemaError(f"metadata line lacks {key}")
+    try:
+        meta["conductor"], meta["genus"] = int(meta["conductor"]), int(meta["genus"])
+    except ValueError:
+        raise SchemaError(f"conductor and genus must be integers in {line!r}") from None
+    if meta["genus"] not in (1, 2):
+        raise SchemaError(f"genus {meta['genus']} is not 1 or 2")
     return meta
 
 
-def from_csv_text(text: str) -> TraceTable:
+def from_csv_text(text: str, model: str | None = None) -> TraceTable:
+    """Table from CSV text; a row that breaks an invariant names its line.
+
+    With `model`, the text is a cache bucket for that fingerprint: one for
+    another model is a conflict, and one without a fingerprint predates
+    them and reads as holding no rows.
+    """
     lines = text.splitlines()
     meta = _parse_metadata(lines[0] if lines else "")
     if len(lines) < 2 or lines[1] != CSV_HEADER:
         raise SchemaError(f"header must be exactly {CSV_HEADER!r}")
-    entries = []
-    genus = int(meta["genus"])
-    table = TraceTable(curve_label=meta["label"], conductor=int(meta["conductor"]),
-                       genus=genus, entries=(), provenance=meta["provenance"])
-    last_p = 0
-    for lineno, raw in enumerate(lines[2:], start=3):
+    if model is not None and meta.get("model", model) != model:
+        raise ConflictError(f"{meta['label']}: table built for model "
+                            f"{meta['model']}, not {model}")
+    width = 2 * meta["genus"] + 1
+    values = array.array("q")       # lineno, p, good, count_fp, a_p, lpoly per row
+    body = lines[2:] if model is None or "model" in meta else []
+    for lineno, raw in enumerate(body, start=3):
         if not raw:
             continue
         parts = raw.split(",")
         if len(parts) != 5:
             raise ValidationError(f"expected 5 fields, got {len(parts)}", lineno)
+        p, good, count, a_p, lpoly = parts
+        if good not in ("0", "1"):
+            raise ValidationError(f"malformed row: good flag {good!r}", lineno)
+        if good == "1" and not (count and a_p):
+            raise ValidationError(f"good prime {p} lacks count/trace", lineno)
+        if good == "0" and (count or a_p or lpoly):
+            raise ValidationError(f"bad prime {p} carries trace data", lineno)
         try:
-            p = int(parts[0])
-            good = {"0": False, "1": True}[parts[1]]
-            count = int(parts[2]) if parts[2] else None
-            a_p = int(parts[3]) if parts[3] else None
-            lpoly = tuple(int(c) for c in parts[4].split(";")) if parts[4] else None
-        except (ValueError, KeyError) as exc:
+            factor = [int(c) for c in lpoly.split(";")] if lpoly else [0] * width
+            if len(factor) != width:
+                raise ValidationError(f"p={p}: L-polynomial mismatch", lineno)
+            values.extend([lineno, int(p), int(good), int(count or 0), int(a_p or 0),
+                           *factor])
+        except ValueError as exc:
             raise ValidationError(f"malformed row: {exc}", lineno) from None
-        if p <= last_p:
-            raise ValidationError(f"primes not ascending at p={p}", lineno)
-        last_p = p
-        entry = PrimeTrace(p=p, good=good, point_count_fp=count, a_p=a_p,
-                           lpoly=lpoly)
-        table._check_entry(entry, lineno)
-        entries.append(entry)
-    return replace(table, entries=tuple(entries))
+        except OverflowError:
+            raise ValidationError("value does not fit in int64", lineno) from None
+    cols = np.frombuffer(values, dtype=np.int64).reshape(-1, 5 + width)
+    linenos, p, good, count, a_p = cols[:, :5].T
+    good = good == 1
+    invalid = _first_invalid_row(meta["genus"], p, good, a_p, cols[:, 5:], count)
+    if invalid is not None:
+        raise ValidationError(invalid[1], int(linenos[invalid[0]]))
+    return TraceTable(curve_label=meta["label"], conductor=meta["conductor"],
+                      genus=meta["genus"], p=p, a_p=a_p, good=good, lpoly=cols[:, 5:],
+                      provenance=meta["provenance"])
 
 
 def export_csv(table: TraceTable, path: str | os.PathLike,
@@ -258,9 +327,9 @@ def export_csv(table: TraceTable, path: str | os.PathLike,
         raise
 
 
-def import_csv(path: str | os.PathLike) -> TraceTable:
+def import_csv(path: str | os.PathLike, model: str | None = None) -> TraceTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return from_csv_text(fh.read())
+        return from_csv_text(fh.read(), model)
 
 
 def merge(t1: TraceTable, t2: TraceTable) -> TraceTable:
@@ -268,24 +337,29 @@ def merge(t1: TraceTable, t2: TraceTable) -> TraceTable:
     if (t1.curve_label, t1.conductor, t1.genus) != (t2.curve_label, t2.conductor, t2.genus):
         raise ValidationError(
             f"cannot merge tables for {t1.curve_label!r} and {t2.curve_label!r}")
-    merged: dict[int, PrimeTrace] = {e.p: e for e in t1.entries}
-    for e in t2.entries:
-        old = merged.get(e.p)
-        if old is None:
-            merged[e.p] = e
-            continue
-        if (old.good, old.point_count_fp, old.a_p) != (e.good, e.point_count_fp, e.a_p):
-            raise ConflictError(
-                f"{t1.curve_label}: tables disagree at p={e.p} "
-                f"({old.a_p} vs {e.a_p})")
-        if old.lpoly is not None and e.lpoly is not None and old.lpoly != e.lpoly:
-            raise ConflictError(f"{t1.curve_label}: L-polynomials disagree at p={e.p}")
-        if old.lpoly is None and e.lpoly is not None:
-            merged[e.p] = e
+    width = 0 if t1.lpoly is None and t2.lpoly is None else 2 * t1.genus + 1
+    p, good, a_p = (np.concatenate([getattr(t1, c), getattr(t2, c)])
+                    for c in ("p", "good", "a_p"))
+    lpoly = np.concatenate([np.zeros((len(t.p), width), dtype=np.int64)
+                            if t.lpoly is None else t.lpoly for t in (t1, t2)])
+    # by prime, a row with a stored Euler factor ahead of one without
+    order = np.lexsort((~lpoly.any(axis=1), p))
+    p, good, a_p, lpoly = p[order], good[order], a_p[order], lpoly[order]
+    dup = np.flatnonzero(p[1:] == p[:-1])
+    clash = dup[(good[dup] != good[dup + 1]) | (a_p[dup] != a_p[dup + 1])]
+    if clash.size:
+        i = clash[0]
+        raise ConflictError(f"{t1.curve_label}: tables disagree at p={p[i]} "
+                            f"({a_p[i]} vs {a_p[i + 1]})")
+    clash = dup[lpoly[dup + 1].any(axis=1) & (lpoly[dup] != lpoly[dup + 1]).any(axis=1)]
+    if clash.size:
+        raise ConflictError(
+            f"{t1.curve_label}: L-polynomials disagree at p={p[clash[0]]}")
+    keep = np.diff(p, prepend=0) != 0          # the first row of each prime
     provenance = t1.provenance if t1.provenance == t2.provenance else "imported"
-    entries = tuple(merged[p] for p in sorted(merged))
     return TraceTable(curve_label=t1.curve_label, conductor=t1.conductor,
-                      genus=t1.genus, entries=entries, provenance=provenance)
+                      genus=t1.genus, p=p[keep], a_p=a_p[keep], good=good[keep],
+                      lpoly=lpoly[keep] if width else None, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +375,8 @@ def _model_fingerprint(curve: CurveSpec) -> str:
     return "/".join(",".join(str(c) for c in coeffs) for coeffs in (curve.f, curve.h))
 
 
-def _cached_bucket(curve, lo, with_lpoly, ceiling, fp2_ceiling,
-                   cache_dir, workers) -> tuple[PrimeTrace, ...]:
+def _cached_bucket(curve, lo, primes, with_lpoly, ceiling, fp2_ceiling,
+                   cache_dir, workers) -> TraceTable:
     """One full bucket from the cache, counted and rewritten when stale.
 
     A file for another declaration of the label (conductor, genus or model)
@@ -311,24 +385,16 @@ def _cached_bucket(curve, lo, with_lpoly, ceiling, fp2_ceiling,
     """
     path = _bucket_path(cache_dir, curve.label, lo)
     model = _model_fingerprint(curve)
-    primes = [p for p in sieve_primes(lo + CACHE_BUCKET - 1) if p >= lo]
     if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            meta = _parse_metadata(fh.readline())
-        if ((int(meta["conductor"]), int(meta["genus"]), meta.get("model", model))
-                != (curve.conductor, curve.genus, model)):
+        cached = import_csv(path, model)
+        if (cached.conductor, cached.genus) != (curve.conductor, curve.genus):
             raise ConflictError(
                 f"cache file {path} was built for a different declaration of "
                 f"{curve.label!r}")
-        if "model" in meta:
-            cached = import_csv(path)
-            fresh = [e.p for e in cached.entries] == primes
-            if fresh and not (with_lpoly and curve.genus == 2 and any(
-                    e.good and e.lpoly is None for e in cached.entries)):
-                return cached.entries
-    entries = tuple(_compute_entries(curve, primes, with_lpoly, ceiling,
-                                     fp2_ceiling, workers))
-    bucket = TraceTable(curve_label=curve.label, conductor=curve.conductor,
-                        genus=curve.genus, entries=entries)
+        lacks_lpoly = with_lpoly and curve.genus == 2 and (
+            cached.lpoly is None or not cached.lpoly[cached.good, 0].all())
+        if np.array_equal(cached.p, primes) and not lacks_lpoly:
+            return cached
+    bucket = _compute_block(curve, primes, with_lpoly, ceiling, fp2_ceiling, workers)
     export_csv(bucket, path, model)
-    return entries
+    return bucket

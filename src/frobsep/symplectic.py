@@ -21,7 +21,7 @@ from typing import Callable, Final, Iterable, Mapping
 import numpy as np
 
 from . import laurent
-from .errors import NonIntegral, OrderTooSmall, PoleInput, UnsupportedModel
+from .errors import NonIntegral, OrderTooSmall, UnsupportedModel
 
 MIN_QUADRATURE_ORDER: Final = 8
 DEFAULT_QUADRATURE_ORDER: Final = 64
@@ -82,9 +82,9 @@ class TorusPoint:
                           tuple(fold_angle(r * t) for t in self.angles2))
 
 
-def fold_angle(t: float) -> float:
-    """Map an arbitrary real angle to its [0, pi] class representative."""
-    return math.acos(math.cos(t))
+def fold_angle(t):
+    """Map real angles, elementwise, to their [0, pi] class representatives."""
+    return np.arccos(np.cos(t))
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +297,21 @@ class VirtualCharacter:
     def is_product_group(self) -> bool:
         return len(self.gs) == 2
 
-    def value(self, point: TorusPoint) -> float:
-        angle_sets = (point.angles, point.angles2)[: len(self.gs)]
-        for g, angles in zip(self.gs, angle_sets):
-            if len(angles) != g:
-                raise ValueError("torus point rank mismatch")
-        total = 0.0
+    def values(self, *thetas: np.ndarray) -> np.ndarray:
+        """Character at N conjugacy classes: one (N, g) angle array per factor."""
+        total = np.zeros(len(thetas[0]))
         for key, coeff in self.terms.items():
             prod = float(coeff)
-            for g, parts, angles in zip(self.gs, key, angle_sets):
-                prod *= float(_char_values(parts, g, np.array([angles]))[0])
-            total += prod
+            for g, parts, angles in zip(self.gs, key, thetas):
+                prod = prod * _char_values(parts, g, angles)
+            total = total + prod
         return total
+
+    def value(self, point: TorusPoint) -> float:
+        angle_sets = (point.angles, point.angles2)[: len(self.gs)]
+        if [len(angles) for angles in angle_sets] != list(self.gs):
+            raise ValueError("torus point rank mismatch")
+        return float(self.values(*(np.array([a]) for a in angle_sets))[0])
 
     def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         if self.gs != other.gs:
@@ -639,24 +642,3 @@ def fs_indicator(weight: DominantWeight,
     vals = _char_values(weight.parts, weight.g, 2.0 * thetas)
     raw = float(np.dot(wd, vals) / norm)
     return _round_gate(raw, f"FS indicator of {weight.parts}")
-
-
-# ---------------------------------------------------------------------------
-# Gamma-function self test
-
-
-def duplication_check(s: complex) -> float:
-    """Relative deviation of Gamma(2s) from the Legendre duplication product.
-
-    Exercises the Lanczos-backed Gamma evaluation used for metadata
-    transforms; values should sit at rounding level away from poles.
-    """
-    from scipy.special import gamma
-
-    for pole_test in (2 * s, s, s + 0.5):
-        z = complex(pole_test)
-        if abs(z.imag) < 1e-12 and z.real <= 0 and abs(z.real - round(z.real)) < 1e-12:
-            raise PoleInput(f"{s} hits a Gamma pole")
-    lhs = gamma(2 * s)
-    rhs = gamma(s) * gamma(s + 0.5) * 2 ** (2 * s - 1) / math.sqrt(math.pi)
-    return abs(lhs - rhs) / abs(lhs)

@@ -145,7 +145,71 @@ def primes_upto(n: int) -> list[int]:
     return out
 
 
-def tail_double_sum(evaluator, x: float, a: float) -> float:
+def _kernel_weight(p: int, r: int, x: float, a: float) -> float:
+    q = p ** r
+    return math.log(p) * (q / x) ** a * math.log(x / q)
+
+
+def _power_sum(angles, r: int) -> float:
+    return sum(2.0 * math.cos(r * t) for t in angles)
+
+
+def _table_angles(table, p: int) -> tuple[float, ...] | None:
+    """Eigenvalue angles at p from the stored integers, None at a bad prime;
+    genus 1 through arccos of the normalized trace, genus 2 through the
+    real quadratic factors of the stored quartic."""
+    row = table.p.tolist().index(p)
+    if not table.good[row]:
+        return None
+    a_p = int(table.a_p[row])
+    if table.genus == 1:
+        return (math.acos(min(1.0, max(-1.0, a_p / (2.0 * math.sqrt(p))))),)
+    _, c1, c2, _, _ = (int(c) for c in table.lpoly[row])
+    gap = math.sqrt(c1 * c1 - 4 * (c2 - 2 * p))
+    return tuple(math.acos(min(1.0, max(-1.0, b / (2.0 * math.sqrt(p)))))
+                 for b in ((-c1 + gap) / 2.0, (-c1 - gap) / 2.0))
+
+
+def character_term(kind, tables, p: int, r: int = 1) -> float | None:
+    """chi(y_p^r) by hand from one or two tables, None at a bad prime.
+
+    `kind` is "trivial", "V" (normalized trace powers), "psi" (two tables)
+    or a callable on folded angle tuples, one per table.
+    """
+    if kind == "trivial":
+        return 1.0
+    angles = [_table_angles(t, p) for t in tables]
+    if any(a is None for a in angles):
+        return None
+    sums = [_power_sum(a, r) for a in angles]
+    if kind == "V":
+        return sums[0]
+    if kind == "psi":
+        (t, t2), g, g2 = sums, tables[0].genus, tables[1].genus
+        return t * t2 * (t - 2 * g) * (t2 + 2 * g2)
+    return kind(*[tuple(math.acos(math.cos(r * t)) for t in a) for a in angles])
+
+
+def plain_weighted_sum(kind, tables, x: float, a: float) -> float:
+    """Per-prime loop over p <= x with plain float accumulation."""
+    total = 0.0
+    for p in primes_upto(int(x)):
+        value = character_term(kind, tables, p)
+        if value is not None:
+            total += value * _kernel_weight(p, 1, x, a)
+    return total
+
+
+def plain_chebyshev_sum(kind, tables, x: float) -> float:
+    total = 0.0
+    for p in primes_upto(int(x)):
+        value = character_term(kind, tables, p)
+        if value is not None:
+            total += value
+    return total
+
+
+def tail_double_sum(kind, tables, x: float, a: float) -> float:
     """Plain nested-loop prime-power tail, no compensation, r-major order."""
     total = 0.0
     r = 2
@@ -154,9 +218,9 @@ def tail_double_sum(evaluator, x: float, a: float) -> float:
             q = p ** r
             if q > x:
                 break
-            if evaluator.good(p) and q < x:
-                weight = math.log(p) * (q / x) ** a * math.log(x / q)
-                total += evaluator.value(p, r) * weight
+            value = character_term(kind, tables, p, r)
+            if value is not None and q < x:
+                total += value * _kernel_weight(p, r, x, a)
         r += 1
     return total
 

@@ -191,7 +191,7 @@ def test_criterion_09_prime_power_tail(reference_pair):
         ratios.append(ratio)
         assert abs(ratio) <= TAIL_RATIO_BOUND
     tail_1e4, _ = prime_power_tail(evaluator, 1e4)
-    oracle = oracles.tail_double_sum(evaluator, 1e4, 0.25)
+    oracle = oracles.tail_double_sum("V", [t11], 1e4, 0.25)
     assert abs(tail_1e4 - oracle) <= 1e-9
     print(f"\nACCEPTANCE 9 PASS prime-power tail: ratios "
           f"{', '.join(f'{r:.5f}' for r in ratios)} within {TAIL_RATIO_BOUND}; "

@@ -208,3 +208,77 @@ class TestRuntimeImports:
     def test_delta_22(self, tmp_path):
         assert self.run_module(["delta", "--g", "2", "--g2", "2"],
                                tmp_path) == "exit 0 []"
+
+
+class TestFrozenStdout:
+    """Byte-exact stdout of reference invocations, recorded from the
+    per-prime implementation before the trace store became columnar."""
+
+    SUM_HEADER = "x,sum,main,residual,res_sqrtx,res_sqrtx_log3,primes,skipped\n"
+    CASES = {
+        "psi_ladder": (
+            ["sum", "11a1", "37a1", "--x", "1e3,3e3"],
+            SUM_HEADER
+            + "1000,504.173668204,640,-135.826331796,-4.29520574702,"
+              "-0.0130308618879,166,2\n"
+            + "3000,1636.24363127,1920,-283.756368725,-5.18065879955,"
+              "-0.0100943513531,428,2\n"),
+        "psi_genus2": (
+            ["sum", "11a1", "g2b", "--x", "2e3"],
+            SUM_HEADER
+            + "2000,3272.52224592,1280,1992.52224592,44.5541518856,"
+              "0.101459496531,300,3\n"),
+        "trivial": (
+            ["sum", "11a1", "--x", "3e3", "--chi", "trivial"],
+            SUM_HEADER
+            + "3000,1857.52165736,1920,-62.4783426443,-1.14069325406,"
+              "-0.00222260506591,430,0\n"),
+        "sym2": (
+            ["sum", "11a1", "--x", "3e3", "--chi", "sym2"],
+            SUM_HEADER
+            + "3000,-59.6622494121,0,-59.6622494121,-1.08927866115,"
+              "-0.00212242534252,429,1\n"),
+        "separate": (
+            ["separate", "11a1", "37a1", "--pmax", "3000"],
+            "labelA,labelB,N,N2,least_prime,log_bound,ratio\n"
+            "11a1,37a1,11,37,5,44.9162727475,0.111318230435\n"),
+        "count": (
+            ["count", "11a1", "--pmax", "3000"],
+            "curve 11a1 genus 1 conductor 11\n"
+            "primes <= 3000: 430 (429 good, 1 bad)\n"
+            "  p=2 a_p=-2\n  p=3 a_p=-1\n  p=5 a_p=1\n  p=7 a_p=-2\n"
+            "  p=11 a_p=bad\n"),
+    }
+
+    @pytest.fixture
+    def files(self, curve_json, g2b, tmp_path):
+        paths = {label: str(path) for label, path in curve_json.items()}
+        for name, doc in (("g2b", g2b.to_json()),
+                          ("sym2", {"g": 1, "terms": [{"lambda": [2], "coeff": 1}]})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            paths[name] = str(path)
+        return paths
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reference_stdout(self, case, files, tmp_path):
+        argv, want = self.CASES[case]
+        argv = [files.get(arg, arg) for arg in argv]
+        code, text = run_cli(["--cache-dir", str(tmp_path / "cache"), *argv])
+        assert code == 0
+        assert text == want
+
+
+class TestCorruptCache:
+    def test_malformed_metadata_line_is_validation_error(self, curve_json,
+                                                         tmp_path, monkeypatch):
+        import frobsep.store as store_mod
+
+        monkeypatch.setattr(store_mod, "CACHE_BUCKET", 100)
+        argv = ["--cache-dir", str(tmp_path), "separate", str(curve_json["11a1"]),
+                str(curve_json["37a1"]), "--pmax", "100"]
+        assert run_cli(argv)[0] == 0
+        path = tmp_path / "11a1.b0000.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0] + " junk", *lines[1:]]) + "\n")
+        assert run_cli(argv)[0] == 2

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -11,6 +12,10 @@ from frobsep.evaluators import (PsiPairEvaluator, TautologicalEvaluator,
                                 TrivialEvaluator, VirtualCharEvaluator)
 from frobsep.kernels import li
 from frobsep import symplectic as sy
+
+
+def a_p_at(table, p):
+    return int(table.a_p[table.rows(np.array([p]))[0]])
 
 
 class TestBachKernel:
@@ -63,7 +68,7 @@ class TestLambdaTerm:
         ev = TautologicalEvaluator(t11)
         params = KernelParams(x=100.0)
         # 11a1 has a_19 = 0
-        assert t11.entry(19).a_p == 0
+        assert a_p_at(t11, 19) == 0
         assert lambda_term(ev, 19, 1, 100.0, params) == 0.0
 
     def test_zero_at_cutoff(self, t11):
@@ -73,7 +78,7 @@ class TestLambdaTerm:
     def test_power_term_uses_eigenangles(self, t11):
         ev = TautologicalEvaluator(t11)
         p, x = 7, 100.0
-        a_norm = t11.entry(p).a_p / math.sqrt(p)
+        a_norm = a_p_at(t11, p) / math.sqrt(p)
         power_sum = a_norm * a_norm - 2.0    # 2 cos(2 theta)
         weight = math.log(p) * (p * p / x) ** 0.25 * math.log(x / p ** 2)
         got = lambda_term(ev, p, 2, x, KernelParams(x=x))
@@ -142,7 +147,7 @@ class TestPrimePowerTail:
         ev = TautologicalEvaluator(t11)
         x = 2000.0
         tail, _ = prime_power_tail(ev, x)
-        want = oracles.tail_double_sum(ev, x, 0.25)
+        want = oracles.tail_double_sum("V", [t11], x, 0.25)
         assert tail == pytest.approx(want, abs=1e-9)
 
     def test_ratio_bounded_over_sweep(self, t11):
@@ -186,25 +191,79 @@ class TestEvaluators:
 
         plain = TautologicalEvaluator(compute_range(g2b, 30))
         with pytest.raises(MissingEigendata):
-            plain.value(3, r=2)
+            plain.values(np.array([3]), r=2)
         rich = TautologicalEvaluator(compute_range(g2b, 30, with_lpoly=True))
-        assert isinstance(rich.value(3, r=2), float)
+        values = rich.values(np.array([3]), r=2)
+        assert values.shape == (1,) and values.dtype == np.float64
 
     def test_psi_value_formula(self, t11, t37):
         ev = PsiPairEvaluator(t11, t37)
         p = 5
-        t = t11.entry(p).a_p_normalized
-        t2 = t37.entry(p).a_p_normalized
-        assert ev.value(p) == pytest.approx(t * t2 * (t - 2) * (t2 + 2))
+        t = a_p_at(t11, p) / math.sqrt(p)
+        t2 = a_p_at(t37, p) / math.sqrt(p)
+        assert ev.values(np.array([p]))[0] == pytest.approx(t * t2 * (t - 2) * (t2 + 2))
         assert ev.delta == 1
 
     def test_virtual_char_evaluator_matches_tautological(self, t11):
         ev_v = VirtualCharEvaluator(sy.tautological_char(1), t11)
         ev_t = TautologicalEvaluator(t11)
-        for p in (2, 3, 5, 7, 13):
-            assert ev_v.value(p) == pytest.approx(ev_t.value(p), abs=1e-12)
-            assert ev_v.value(p, r=3) == pytest.approx(ev_t.value(p, r=3), abs=1e-9)
+        primes = np.array([2, 3, 5, 7, 13])
+        assert ev_v.values(primes) == pytest.approx(ev_t.values(primes), abs=1e-12)
+        assert ev_v.values(primes, r=3) == pytest.approx(ev_t.values(primes, r=3),
+                                                         abs=1e-9)
 
     def test_rank_mismatch_rejected(self, t11):
         with pytest.raises(ValueError):
             VirtualCharEvaluator(sy.tautological_char(2), t11)
+
+
+def sym2_by_hand(angles):
+    # sp_(2) on USp(2) is U_2(cos theta) = 4 cos^2 theta - 1
+    return 4.0 * math.cos(angles[0]) ** 2 - 1.0
+
+
+class TestSecondRoute:
+    """The array sums against plain per-prime float loops in `oracles`."""
+
+    @pytest.fixture
+    def cases(self, t11, t37):
+        return {
+            "psi": (PsiPairEvaluator(t11, t37), "psi", [t11, t37]),
+            "trivial": (TrivialEvaluator(), "trivial", []),
+            "sym2": (VirtualCharEvaluator(sy.sym2_char(1), t11), sym2_by_hand, [t11]),
+        }
+
+    @pytest.mark.parametrize("name", ["psi", "trivial", "sym2"])
+    def test_sums_match_per_prime_loop(self, cases, name):
+        evaluator, kind, tables = cases[name]
+        for x in (100.0, 1000.0, 3000.0):
+            # plain summation of ~430 terms of size <= 10^3 drifts by well
+            # under 430 * 2^-52 * 10^3 ~ 1e-10 from the correctly rounded sum
+            got = weighted_sum(evaluator, KernelParams(x=x)).sum_value
+            assert got == pytest.approx(
+                oracles.plain_weighted_sum(kind, tables, x, 0.25), abs=1e-9)
+            total, _ = chebyshev_sum(evaluator, x)
+            assert total == pytest.approx(
+                oracles.plain_chebyshev_sum(kind, tables, x), abs=1e-9)
+
+    def test_genus2_tail_matches_per_prime_loop(self, g2b):
+        # r >= 2 terms of a genus-2 curve come from its stored quartics
+        from frobsep import compute_range
+
+        table = compute_range(g2b, 100, with_lpoly=True)
+        tail, _ = prime_power_tail(TautologicalEvaluator(table), 5000.0)
+        assert tail == pytest.approx(
+            oracles.tail_double_sum("V", [table], 5000.0, 0.25), abs=1e-9)
+
+    def test_sum_is_independent_of_prime_order(self, t11, t37):
+        # fsum is correctly rounded, so summing the terms in reverse order
+        # reproduces the reported value bit for bit
+        import frobsep.kernels as kernels_mod
+
+        ev = PsiPairEvaluator(t11, t37)
+        x = 3000.0
+        primes = kernels_mod.sieve_primes(int(x))
+        primes = primes[ev.good(primes)]
+        terms = kernels_mod._terms(ev, primes, 1, x, 0.25)
+        assert weighted_sum(ev, KernelParams(x=x)).sum_value == math.fsum(
+            terms[::-1].tolist())

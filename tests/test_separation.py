@@ -5,7 +5,6 @@ import pytest
 
 from frobsep import (KernelParams, least_separating_prime, psi_value,
                      separation_scan, sign_criterion_equivalence, weighted_sum)
-from frobsep.curves import PrimeTrace
 from frobsep.errors import BoundaryCase, IncompleteTable, WeilViolation
 from frobsep.evaluators import PsiPairEvaluator
 from frobsep.separation import CSV_HEADER, scan_csv
@@ -13,14 +12,9 @@ from frobsep.store import TraceTable
 
 
 def synthetic_table(label, conductor, traces):
-    entries = []
-    for p, a in traces:
-        if a is None:
-            entries.append(PrimeTrace.bad(p))
-        else:
-            entries.append(PrimeTrace(p=p, good=True, point_count_fp=p + 1 - a, a_p=a))
     return TraceTable(curve_label=label, conductor=conductor, genus=1,
-                      entries=tuple(entries))
+                      p=[p for p, _ in traces], a_p=[a or 0 for _, a in traces],
+                      good=[a is not None for _, a in traces])
 
 
 class TestPsiValue:
@@ -62,7 +56,7 @@ class TestLeastSeparatingPrime:
 
     def test_self_pair_never_separates(self, t11):
         clone = TraceTable(curve_label="11a1clone", conductor=t11.conductor,
-                           genus=1, entries=t11.entries)
+                           genus=1, p=t11.p, a_p=t11.a_p, good=t11.good)
         record = least_separating_prime(t11, clone, 2000)
         assert record.least_prime is None
         assert record.ratio is None
@@ -75,9 +69,10 @@ class TestLeastSeparatingPrime:
     def test_matches_linear_scan_oracle(self, t11, t37):
         record = least_separating_prime(t11, t37, 3000)
         brute = None
-        for ea, eb in zip(t11.entries, t37.entries):
-            if ea.good and eb.good and ea.a_p * eb.a_p < 0:
-                brute = ea.p
+        for p, good_a, good_b, a, b in zip(t11.p.tolist(), t11.good, t37.good,
+                                           t11.a_p.tolist(), t37.a_p.tolist()):
+            if good_a and good_b and a * b < 0:
+                brute = p
                 break
         assert record.least_prime == brute == 5
 
@@ -102,8 +97,8 @@ class TestScan:
         assert records[0].least_prime is None
 
     def test_error_collected_and_scan_continues(self, t11, t37):
-        short = TraceTable(curve_label="short", conductor=3,
-                           genus=1, entries=t37.entries[:2])
+        short = TraceTable(curve_label="short", conductor=3, genus=1,
+                           p=t37.p[:2], a_p=t37.a_p[:2], good=t37.good[:2])
         records = separation_scan([(t11, short), (t11, t37)], 2000)
         assert records[0].note.startswith("error: short: table lacks prime")
         assert records[1].least_prime == 5
@@ -130,14 +125,15 @@ class TestStoredPairInvariant:
     def test_three_way_sign_equivalence(self, t11, t37):
         # normalization preserves sign, so psi > 0, abar*abar' < 0 and
         # a_p*a_p' < 0 agree at every good prime with strict Weil inequality
-        for ea, eb in zip(t11.entries, t37.entries):
-            if not (ea.good and eb.good):
+        for p, good_a, good_b, a, b in zip(t11.p.tolist(), t11.good, t37.good,
+                                           t11.a_p.tolist(), t37.a_p.tolist()):
+            if not (good_a and good_b):
                 continue
-            t, t2 = ea.a_p_normalized, eb.a_p_normalized
+            t, t2 = a / math.sqrt(p), b / math.sqrt(p)
             if abs(t) >= 2 or abs(t2) >= 2:
                 continue
             positive = psi_value(t, t2, 1, 1) > 0
-            assert positive == (t * t2 < 0) == (ea.a_p * eb.a_p < 0)
+            assert positive == (t * t2 < 0) == (a * b < 0)
 
 
 class TestEndToEnd:

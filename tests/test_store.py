@@ -1,22 +1,36 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobsep import CurveSpec, compute_range, export_csv, import_csv, merge
-from frobsep.curves import PrimeTrace
 from frobsep.errors import (CeilingExceeded, ConflictError, SchemaError,
                             ValidationError)
 from frobsep.store import (TraceTable, bad_prime_sets, from_csv_text,
                            sieve_primes, to_csv_text)
 
 
+def rows_of(table, keep):
+    """The table restricted to the rows selected by `keep` (slice or mask)."""
+    return TraceTable(curve_label=table.curve_label, conductor=table.conductor,
+                      genus=table.genus, p=table.p[keep], a_p=table.a_p[keep],
+                      good=table.good[keep],
+                      lpoly=None if table.lpoly is None else table.lpoly[keep])
+
+
+def a_p_at(table, p):
+    return int(table.a_p[table.rows(np.array([p]))[0]])
+
+
 class TestComputeRange:
     def test_small_range_flags(self, c32):
         table = compute_range(c32, 10)
-        assert [e.p for e in table.entries] == [2, 3, 5, 7]
-        assert not table.entry(2).good
-        assert all(table.entry(p).good for p in (3, 5, 7))
+        assert table.p.tolist() == [2, 3, 5, 7]
+        assert table.good.tolist() == [False, True, True, True]
 
     def test_empty_below_first_prime(self, c32):
-        assert compute_range(c32, 1).entries == ()
+        assert len(compute_range(c32, 1).p) == 0
 
     def test_recomputation_is_byte_identical(self, c11):
         a = to_csv_text(compute_range(c11, 500))
@@ -34,9 +48,9 @@ class TestComputeRange:
 
     def test_lpoly_storage(self, g2b):
         table = compute_range(g2b, 30, with_lpoly=True)
-        for e in table.entries:
-            if e.good:
-                assert e.lpoly is not None and len(e.lpoly) == 5
+        assert table.lpoly.shape == (len(table.p), 5)
+        assert np.all(table.lpoly[table.good, 0] == 1)
+        assert not table.lpoly[~table.good].any()
 
     def test_bad_prime_set_report(self, g2b):
         by_n, by_disc = bad_prime_sets(g2b, 30)
@@ -53,7 +67,7 @@ class TestCsvRoundTrip:
 
     def test_thousand_prime_table_bytes(self, c37):
         table = compute_range(c37, 8000)   # ~1000 primes
-        assert len(table.entries) > 1000
+        assert len(table.p) > 1000
         text = to_csv_text(table)
         assert to_csv_text(from_csv_text(text)) == text
         assert text.endswith("\n") and "\r" not in text
@@ -94,9 +108,8 @@ class TestCsvRoundTrip:
 class TestMerge:
     def test_disjoint_concatenation(self, c11):
         low = compute_range(c11, 50)
-        high_entries = tuple(e for e in compute_range(c11, 200).entries if e.p > 50)
-        high = TraceTable(curve_label=low.curve_label, conductor=low.conductor,
-                          genus=low.genus, entries=high_entries)
+        full = compute_range(c11, 200)
+        high = rows_of(full, full.p > 50)
         merged = merge(low, high)
         assert merged == compute_range(c11, 200)
 
@@ -110,18 +123,13 @@ class TestMerge:
 
     def test_associative(self, c11):
         full = compute_range(c11, 300)
-        a = TraceTable(curve_label=full.curve_label, conductor=full.conductor,
-                       genus=full.genus, entries=full.entries[:10])
-        b = TraceTable(curve_label=full.curve_label, conductor=full.conductor,
-                       genus=full.genus, entries=full.entries[5:20])
-        c = TraceTable(curve_label=full.curve_label, conductor=full.conductor,
-                       genus=full.genus, entries=full.entries[15:])
+        a, b, c = rows_of(full, slice(10)), rows_of(full, slice(5, 20)), \
+            rows_of(full, slice(15, None))
         assert merge(merge(a, b), c) == merge(a, merge(b, c)) == full
 
     def test_conflict_raises(self, t11):
-        bad = PrimeTrace(p=3, good=True, point_count_fp=3, a_p=1)
         other = TraceTable(curve_label=t11.curve_label, conductor=t11.conductor,
-                           genus=t11.genus, entries=(bad,))
+                           genus=t11.genus, p=[3], a_p=[1], good=[True])
         with pytest.raises(ConflictError):
             merge(t11, other)
 
@@ -164,10 +172,10 @@ class TestCache:
         monkeypatch.setattr(store_mod, "CACHE_BUCKET", 100)
         first = CurveSpec.elliptic("E", (0, -1, 1, -10, -20), 11)    # 11a1
         second = CurveSpec.elliptic("E", (0, 0, 1, -1, 0), 11)       # 37a1
-        assert compute_range(first, 199, cache_dir=tmp_path).entry(101).a_p == 2
+        assert a_p_at(compute_range(first, 199, cache_dir=tmp_path), 101) == 2
         with pytest.raises(ConflictError):
             compute_range(second, 199, cache_dir=tmp_path)
-        assert compute_range(second, 199).entry(101).a_p == 3
+        assert a_p_at(compute_range(second, 199), 101) == 3
 
     @staticmethod
     def _rewrite_bucket(path, edit):
@@ -208,17 +216,138 @@ class TestCache:
 class TestValidation:
     def test_bad_entry_with_trace_data_rejected(self):
         with pytest.raises(ValidationError):
-            TraceTable(curve_label="x", conductor=2, genus=1,
-                       entries=(PrimeTrace(p=2, good=False, point_count_fp=4,
-                                           a_p=-1),))
+            TraceTable(curve_label="x", conductor=2, genus=1, p=[2], a_p=[-1],
+                       good=[False])
 
     def test_corrupt_lpoly_rejected(self):
         # trace column consistent but quartic breaks the functional equation
-        entry = PrimeTrace(p=3, good=True, point_count_fp=4, a_p=0,
-                           lpoly=(1, 0, 0, 0, 7))
         with pytest.raises(ValidationError):
-            TraceTable(curve_label="x", conductor=2, genus=2, entries=(entry,))
+            TraceTable(curve_label="x", conductor=2, genus=2, p=[3], a_p=[0],
+                       good=[True], lpoly=[(1, 0, 0, 0, 7)])
 
     def test_sieve(self):
-        assert sieve_primes(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-        assert sieve_primes(1) == []
+        assert sieve_primes(20).tolist() == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert sieve_primes(1).tolist() == []
+
+
+META = "# frobsep-trace-table label=x conductor=35 genus={g} provenance=imported"
+
+
+class TestMetadataLine:
+    @pytest.mark.parametrize("line, reason", [
+        (META.format(g=1) + " junk", "without '='"),
+        (META.format(g=1).replace("conductor=35", "conductor=3x5"), "integers"),
+        (META.format(g="one"), "integers"),
+        (META.format(g=0), "not 1 or 2"),
+        (META.format(g=3), "not 1 or 2"),
+    ])
+    def test_malformed_metadata_is_schema_error(self, line, reason):
+        with pytest.raises(SchemaError, match=reason):
+            from_csv_text(line + "\np,good,count_fp,a_p,lpoly\n2,0,,,\n")
+
+
+class TestRowChecks:
+    """Each check the table makes on CSV data names the offending line."""
+
+    @pytest.mark.parametrize("row, message", [
+        ("3,1,5,1,", "a_p != p \\+ 1"),
+        ("3,0,,1,", "carries trace data"),
+        ("3,1,,1,", "lacks count/trace"),
+        ("3,1,-6,10,", "Weil bound"),
+        ("3,1,3,1,1;1;3", "L-polynomial mismatch"),
+        ("3,1,3,1,2;-1;3", "L-polynomial mismatch"),
+        ("3,1,4,0,1;0", "L-polynomial mismatch"),
+        ("3,1,3,1,1;-1;4", "constant term"),
+        ("3,2,3,1,", "good flag"),
+        ("3,1,3,x,", "malformed row"),
+        # a_p^2 = 2^64 wraps to 0 in int64 and would pass the bound
+        (f"3,1,{4 - 2 ** 32},{2 ** 32},", "Weil bound"),
+        (f"3,1,{4 - 2 ** 63},{2 ** 63},", "does not fit in int64"),
+        (f"{2 ** 64 + 3},0,,,", "does not fit in int64"),
+        ("3,1,3,1,1;-1;" + str(2 ** 70), "does not fit in int64"),
+    ])
+    def test_error_names_line(self, row, message):
+        text = "\n".join([META.format(g=1), "p,good,count_fp,a_p,lpoly",
+                          "2,1,5,-2,", "", row, "5,1,5,1,"]) + "\n"
+        with pytest.raises(ValidationError, match=f"line 5: .*{message}"):
+            from_csv_text(text)
+
+    def test_constructor_checks_columns(self):
+        with pytest.raises(ValidationError, match="ascending"):
+            TraceTable(curve_label="x", conductor=1, genus=1, p=[3, 3],
+                       a_p=[0, 0], good=[True, True])
+        with pytest.raises(ValidationError, match="Weil"):
+            TraceTable(curve_label="x", conductor=1, genus=1, p=[3],
+                       a_p=[2 ** 32], good=[True])
+        with pytest.raises(ValidationError, match="int64"):
+            TraceTable(curve_label="x", conductor=1, genus=1, p=[3],
+                       a_p=[2 ** 63], good=[True])
+
+    def test_columns_are_read_only(self, t11):
+        with pytest.raises(ValueError):
+            t11.a_p[0] = 1
+
+
+PRIMES = sieve_primes(400).tolist()
+
+
+@st.composite
+def genus1_tables(draw):
+    """A random genus-1 table within the Weil bound, plus row masks of it."""
+    primes = sorted(draw(st.lists(st.sampled_from(PRIMES), unique=True, max_size=40)))
+    good = [draw(st.booleans()) for _ in primes]
+    a_p = [draw(st.integers(-math.isqrt(4 * p), math.isqrt(4 * p))) if ok else 0
+           for p, ok in zip(primes, good)]
+    table = TraceTable(curve_label="h", conductor=7, genus=1, p=primes, a_p=a_p,
+                       good=good, provenance=draw(st.sampled_from(["computed",
+                                                                   "imported"])))
+    masks = [np.array([draw(st.booleans()) for _ in primes], dtype=bool)
+             for _ in range(3)]
+    return table, masks
+
+
+class TestColumnProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(genus1_tables())
+    def test_csv_round_trip(self, drawn):
+        table, _ = drawn
+        assert from_csv_text(to_csv_text(table)) == table
+
+    @settings(max_examples=60, deadline=None)
+    @given(genus1_tables())
+    def test_merge_laws(self, drawn):
+        table, (ma, mb, mc) = drawn
+        a, b, c = rows_of(table, ma), rows_of(table, mb), rows_of(table, mc)
+        assert merge(a, a) == a
+        assert merge(a, b) == merge(b, a) == rows_of(table, ma | mb)
+        assert merge(merge(a, b), c) == merge(a, merge(b, c))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_lpoly_enrichment(self, g2b, data):
+        rich = compute_range(g2b, 60, with_lpoly=True)
+        plain = compute_range(g2b, 60)
+        n = len(rich.p)
+        mp = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        mr = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        merged = merge(rows_of(plain, mp), rows_of(rich, mr))
+        assert merged == merge(rows_of(rich, mr), rows_of(plain, mp))
+        union = rows_of(rich, mp | mr)
+        assert np.array_equal(merged.p, union.p)
+        assert np.array_equal(merged.a_p, union.a_p)
+        stored = (merged.lpoly.any(axis=1) if merged.lpoly is not None
+                  else np.zeros(len(merged.p), dtype=bool))
+        assert np.array_equal(stored, np.isin(merged.p, rich.p[mr & rich.good]))
+        assert from_csv_text(to_csv_text(merged)) == merged
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3),
+           st.one_of(st.integers(2 ** 63, 2 ** 90), st.integers(-2 ** 90, -2 ** 63 - 1)))
+    def test_int64_overflow_row(self, row, field, value):
+        rows = [[2, 1, 5, -2, ""], [3, 1, 5, -1, ""], [5, 1, 5, 1, ""],
+                [7, 1, 10, -2, ""]]
+        rows[row][(0, 2, 3, 4)[field]] = value if field < 3 else f"1;2;{value}"
+        text = "\n".join([META.format(g=1), "p,good,count_fp,a_p,lpoly"]
+                         + [",".join(map(str, r)) for r in rows]) + "\n"
+        with pytest.raises(ValidationError, match=f"line {row + 3}: "):
+            from_csv_text(text)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from frobsep import laurent
 from frobsep import symplectic as sy
-from frobsep.errors import NonIntegral, OrderTooSmall, PoleInput
+from frobsep.errors import NonIntegral, OrderTooSmall
 
 
 def all_weights(g, max_degree=3):
@@ -237,28 +237,6 @@ class TestCharacterMax:
                 chi = sy.VirtualCharacter((g,), {(parts,): 1})
                 d = sy.dimension(sy.DominantWeight(g, parts))
                 assert oracles.character_max(chi) == pytest.approx(d, abs=1e-6)
-
-
-class TestDuplication:
-    def test_at_one(self):
-        assert sy.duplication_check(1.0) <= 1e-10
-
-    def test_at_half_integer_matches_high_precision_oracle(self):
-        import mpmath
-
-        s = 2.5
-        with mpmath.workdps(50):
-            lhs = mpmath.gamma(2 * s)
-            rhs = (mpmath.gamma(s) * mpmath.gamma(s + mpmath.mpf(1) / 2)
-                   * mpmath.mpf(2) ** (2 * s - 1) / mpmath.sqrt(mpmath.pi))
-            assert abs(lhs - rhs) / abs(lhs) < mpmath.mpf(10) ** -40
-        assert sy.duplication_check(s) <= 1e-10
-
-    def test_pole_rejected(self):
-        with pytest.raises(PoleInput):
-            sy.duplication_check(0.0)
-        with pytest.raises(PoleInput):
-            sy.duplication_check(-0.5)
 
 
 class TestVirtualCharacterType:
