@@ -45,6 +45,8 @@ class RunConfig:
         if self.quadrature_order < symplectic.MIN_QUADRATURE_ORDER:
             raise ValueError(f"quadrature order must be >= "
                              f"{symplectic.MIN_QUADRATURE_ORDER}")
+        if self.parallelism < 0:
+            raise ValueError(f"parallelism must be >= 0, got {self.parallelism}")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -4,10 +4,11 @@ For odd p the affine solutions of y^2 + h(x) y = f(x) biject with
 solutions of z^2 = F(x), F = 4f + h^2.  Genus-1 curves at p > 229 are
 counted by Shanks-Mestre baby-step giant-step on the group order in the
 Hasse interval, O(p^{1/4}) group operations per prime (Cohen, A Course in
-Computational Algebraic Number Theory, 7.4.3).  Every other count, and any
-prime where that search stays ambiguous within its point budget, goes
-through a per-prime square table plus a vectorized polynomial sweep of F,
-O(p) work per prime; the tests keep the sweep as the reference for the
+Computational Algebraic Number Theory, 7.4.3), each baby step standing for
+itself and its negative.  Every other count, and any prime where that
+search stays ambiguous within its point budget, goes through a square table
+and a Horner sweep of F over all of F_p, reduced mod p only where int64
+could overflow; the tests keep the sweep as the reference for the
 group-order route.  Genus-2 quartic Euler factors additionally count over
 F_{p^2} with explicit quadratic-extension arithmetic.
 """
@@ -130,7 +131,8 @@ class CurveSpec:
         return self.conductor % p == 0 or self.discriminant % p == 0
 
 
-def _square_completed(f: tuple[int, ...], h: tuple[int, ...]) -> list[int]:
+@lru_cache(maxsize=None)
+def _square_completed(f: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of F = 4f + h^2, ascending, formal length 7."""
     big = [0] * 7
     for i, c in enumerate(f):
@@ -138,7 +140,7 @@ def _square_completed(f: tuple[int, ...], h: tuple[int, ...]) -> list[int]:
     for i, ci in enumerate(h):
         for j, cj in enumerate(h):
             big[i + j] += ci * cj
-    return big
+    return tuple(big)
 
 
 @lru_cache(maxsize=None)
@@ -251,10 +253,15 @@ def _count_points_sweep(curve: CurveSpec, p: int, big: list[int]) -> int:
     """Square-table sweep of z^2 = F(x) over every x in F_p, odd p."""
     x = np.arange(p, dtype=np.int64)
     nsol = np.bincount((x * x) % p, minlength=p)
-    acc = np.zeros(p, dtype=np.int64)
+    acc, bound = np.zeros(p, dtype=np.int64), 0     # exact bound on acc
     for c in big[::-1]:
-        acc = (acc * x + c) % p
-    affine = int(nsol[acc].sum())
+        if bound * (p - 1) + c >= 2 ** 63:      # the next step could overflow
+            acc %= p
+            bound = p - 1
+        acc *= x
+        acc += c
+        bound = bound * (p - 1) + c
+    affine = int(nsol[acc % p].sum())
     if curve.genus == 1:
         return affine + 1
     c6, c5 = big[6], big[5]
@@ -296,37 +303,39 @@ def _count_points_bsgs(big: list[int], p: int) -> int | None:
             orders = _orders_in_interval((x * r % p, r * r % p), a * r * r % p,
                                          p, lo, hi)
             if pow(r, (p - 1) // 2, p) != 1:
-                orders = [2 * p + 2 - k for k in orders]
-            candidates = set(orders) if candidates is None else candidates & set(orders)
+                orders = {2 * p + 2 - k for k in orders}
+            candidates = orders if candidates is None else candidates & orders
             if len(candidates) == 1:
                 return candidates.pop()
         x += 1
     return None
 
 
-def _orders_in_interval(point, a, p, lo, hi) -> list[int]:
+def _orders_in_interval(point, a, p, lo, hi) -> set[int]:
     """Every k in [lo, hi] with k * point = O on Y^2 = X^3 + a X + b.
 
-    Baby steps store -j * point for 0 <= j < m; giant steps walk
-    base * point for base = lo, lo + m, ...; a match means
-    (base + j) * point = O.
+    Baby steps map j * point to -j and -(j * point) to +j (1 <= j <= m, O to
+    0), so a giant step c * point, c = lo + m, lo + 3m, ..., found there means
+    k = c + value; a baby step already there fixes the order of point.
     """
-    m = math.isqrt(hi - lo) + 1
-    baby: dict = {}
+    m = math.isqrt((hi - lo) // 2) + 1
+    baby: dict = {None: 0}
     step = None
-    for j in range(m):
-        baby.setdefault(_ec_neg(step, p), []).append(j)
+    for j in range(1, m + 1):
         step = _ec_add(step, point, a, p)
-    found = []
-    giant = _ec_mul(lo, point, a, p)
-    for base in range(lo, hi + 1, m):
-        found.extend(base + j for j in baby.get(giant, ()) if base + j <= hi)
-        giant = _ec_add(giant, step, a, p)
-    return found
-
-
-def _ec_neg(pt, p):
-    return None if pt is None else (pt[0], -pt[1] % p)
+        if step in baby:            # j * point = O or -(i * point)
+            n = j + baby[step]
+            return set(range(-(-lo // n) * n, hi + 1, n))
+        baby[step[0], -step[1] % p] = j
+        baby[step] = -j             # y = 0 (only j = m): c + m is the next c - m
+    stride = _ec_add(step, step, a, p)
+    giant = _ec_mul(lo + m, point, a, p)
+    found = set()
+    for c in range(lo + m, hi + m + 1, 2 * m):
+        if giant in baby:
+            found.add(c + baby[giant])
+        giant = _ec_add(giant, stride, a, p)
+    return {k for k in found if k <= hi}
 
 
 def _ec_add(pt, qt, a, p):

@@ -5,7 +5,8 @@ disk it is a CSV file with a fixed header and one metadata comment line,
 so expensive counts happen once; cache files hold one full bucket of
 primes each and are written atomically (temp file + rename, single
 writer).  All stored values are integers; normalized traces are
-recomputed on demand to avoid precision drift.
+recomputed on demand to avoid precision drift.  Parallel counts use one
+process pool per process, so the fork is paid once, not once per table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import os
 import re
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Final
@@ -32,7 +33,7 @@ METADATA_PREFIX: Final = "# frobsep-trace-table"
 CACHE_BUCKET: Final = 100_000
 CACHE_ENV_VAR: Final = "FROBSEP_CACHE"
 _LABEL_RE: Final = re.compile(r"^[A-Za-z0-9._-]+$")
-_PARALLEL_THRESHOLD: Final = 500          # primes; below this fork overhead loses
+_PARALLEL_THRESHOLD: Final = 500          # primes; below this pool dispatch loses
 
 
 def sieve_primes(n: int) -> np.ndarray:
@@ -155,8 +156,12 @@ def compute_range(curve: CurveSpec, p_max: int, *,
     """Trace table for every prime <= p_max, cached in full buckets.
 
     Results are merged in ascending-prime order whatever the worker count,
-    so repeated runs export byte-identical files.
+    so repeated runs export byte-identical files.  `workers` 0 means one per
+    CPU; more than the CPU count are never started.
     """
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    workers = min(workers or os.cpu_count() or 1, os.cpu_count() or 1)
     if p_max > ceiling:
         raise CeilingExceeded(f"p_max={p_max} above counting ceiling {ceiling}")
     blocks = []
@@ -175,34 +180,38 @@ def compute_range(curve: CurveSpec, p_max: int, *,
 
 def _compute_block(curve, primes, with_lpoly, ceiling, fp2_ceiling,
                    workers) -> TraceTable:
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(primes) >= _PARALLEL_THRESHOLD:
-        size = max(1, (len(primes) + 4 * workers - 1) // (4 * workers))
-        chunks = [primes[i: i + size] for i in range(0, len(primes), size)]
-        args = [(curve, chunk, with_lpoly, ceiling, fp2_ceiling) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return functools.reduce(merge, pool.map(_count_block, args))
-    return _count_block((curve, primes, with_lpoly, ceiling, fp2_ceiling))
-
-
-def _count_block(args) -> TraceTable:
-    curve, primes, with_lpoly, ceiling, fp2_ceiling = args
     with_lpoly = with_lpoly and curve.genus == 2
-    factors = []        # Euler factor, or just (1, -a_p), per good prime
-    for p in primes.tolist():
-        if curve.is_bad(p):
-            factors.append(None)
-        elif with_lpoly:
-            factors.append(euler_factor(curve, p, ceiling=ceiling,
-                                        fp2_ceiling=fp2_ceiling))
-        else:
-            factors.append((1, -frobenius_trace(curve, p, ceiling=ceiling).a_p))
+    # interleaved chunks cost alike, where contiguous ones grow with p
+    k = 4 * workers if workers > 1 and len(primes) >= _PARALLEL_THRESHOLD else 1
+    args = [(curve, primes[i::k], with_lpoly, ceiling, fp2_ceiling) for i in range(k)]
+    factors = [None] * len(primes)
+    mapper = _pool(workers).map if k > 1 else map
+    try:
+        for i, part in enumerate(mapper(_count_block, args)):
+            factors[i::k] = part
+    except BrokenProcessPool:
+        _pool.cache_clear()         # a broken pool is never handed out again
+        raise
     return TraceTable(curve_label=curve.label, conductor=curve.conductor,
                       genus=curve.genus, p=primes,
                       a_p=[-f[1] if f else 0 for f in factors],
                       good=[f is not None for f in factors],
                       lpoly=[f or (0,) * 5 for f in factors] if with_lpoly else None)
+
+
+@functools.cache
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process's one pool of `workers`; joined at interpreter exit."""
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _count_block(args) -> list:
+    """Euler factor, or just (1, -a_p), per prime; None at a bad prime."""
+    curve, primes, with_lpoly, ceiling, fp2_ceiling = args
+    return [None if curve.is_bad(p)
+            else euler_factor(curve, p, ceiling=ceiling, fp2_ceiling=fp2_ceiling)
+            if with_lpoly else (1, -frobenius_trace(curve, p, ceiling=ceiling).a_p)
+            for p in primes.tolist()]
 
 
 def bad_prime_sets(curve: CurveSpec, p_max: int) -> tuple[list[int], list[int]]:

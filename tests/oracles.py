@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here recomputes from definitions: exhaustive enumeration over
-all affine pairs, explicit Legendre symbols, schoolbook quadratic
+all affine pairs, explicit Legendre symbols, the F_p sweep reduced at
+every step, point orders by repeated addition, schoolbook quadratic
 extensions, sympy discriminants, and a numerical search for the maximum
 of a character over the group.  None of it shares code with the
 production counting paths or the closed-form t_chi.
@@ -134,6 +135,61 @@ def enumerate_points_fp2(curve, p: int) -> int:
     else:
         raise ValueError("degenerate at infinity")
     return affine + ninf
+
+
+def sweep_count(curve, p: int, big) -> int:
+    """The F_p sweep reducing mod p after every Horner step, odd p.
+
+    `big` is F = 4f + h^2 reduced mod p, ascending, formal length 7.
+    """
+    x = np.arange(p, dtype=np.int64)
+    nsol = np.bincount((x * x) % p, minlength=p)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in big[::-1]:
+        acc = (acc * x + c) % p
+    affine = int(nsol[acc].sum())
+    if curve.genus == 1:
+        return affine + 1
+    if big[6] != 0:
+        return affine + int(nsol[big[6]])
+    if big[5] != 0:
+        return affine + 1
+    raise ValueError("degenerate at infinity")
+
+
+def _affine_add(pt, qt, a: int, p: int):
+    """Chord-and-tangent addition on Y^2 = X^3 + a X + b; None is O."""
+    if pt is None or qt is None:
+        return qt if pt is None else pt
+    (x1, y1), (x2, y2) = pt, qt
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if x1 == x2:
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, p - 2, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def point_order(point, a: int, p: int, limit: int) -> int | None:
+    """Least n <= limit with n * point = O, adding point one step at a time."""
+    acc = None
+    for n in range(1, limit + 1):
+        acc = _affine_add(acc, point, a, p)
+        if acc is None:
+            return n
+    return None
+
+
+def orders_in_interval(point, a: int, p: int, lo: int, hi: int) -> set[int]:
+    """Every k in [lo, hi] with k * point = O, by repeated addition.
+
+    The order of point is found by walking k * point up to hi; the answer
+    is then its multiples in [lo, hi].
+    """
+    n = point_order(point, a, p, hi)
+    return set() if n is None else {k for k in range(lo, hi + 1) if k % n == 0}
 
 
 def primes_upto(n: int) -> list[int]:

@@ -169,6 +169,12 @@ class TestConfig:
         assert run_cli(["separate"])[0] == 1          # missing arguments
         assert run_cli(["--kernel-a", "0.7", "delta", "--g", "1", "--g2", "1"])[0] == 1
 
+    def test_negative_parallelism_is_usage_error(self, curve_json):
+        argv = ["--parallelism", "-3", "count", str(curve_json["11a1"]), "--pmax", "50"]
+        assert run_cli(argv)[0] == 1
+        # rejected with the other settings, also by a subcommand that counts nothing
+        assert run_cli(["--parallelism", "-1", "kernel-check", "--y", "1"])[0] == 1
+
     def test_missing_file_is_validation_error(self):
         code, _ = run_cli(["count", "/nonexistent/curve.json", "--pmax", "10"])
         assert code == 2

@@ -54,8 +54,16 @@ class TestGroupOrderRoute:
         big = [c % p for c in curves._square_completed(curve.f, curve.h)]
         return curves._count_points_bsgs(big, p), curves._count_points_sweep(curve, p, big)
 
+    C15 = CurveSpec.elliptic("15a1", (1, 1, 1, -10, -10), 15)   # Z/4 x Z/2 torsion
+    # seed-7 scan-corpus curves with conductor = radical(disc); at each of
+    # these primes the search meets a point of order <= m
+    SMALL_ORDER = (CurveSpec("s7-g1-6", 1, (4, -3, 1, 1), (0, 1), 9779),
+                   CurveSpec("s7-g1-7", 1, (8, 5, -1, 1), (), 826))
+    SMALL_ORDER_PRIMES = (("s7-g1-6", 743), ("s7-g1-6", 3001),
+                          ("s7-g1-7", 11821), ("s7-g1-7", 16987))
+
     def test_equals_sweep_to_1e4(self, c11, c37, c32):
-        c15 = CurveSpec.elliptic("15a1", (1, 1, 1, -10, -10), 15)  # Z/4 x Z/2 torsion
+        c15 = self.C15
         for curve in (c11, c37, c32, c15):
             for p in (q for q in self.MID_PRIMES if q <= 10_000):
                 if not curve.good_reduction(p):
@@ -67,6 +75,50 @@ class TestGroupOrderRoute:
                 if curve is c15:
                     assert via_bsgs % 8 == 0           # Z/4 x Z/2 injects into E(F_p)
 
+    def test_equals_sweep_to_2e4_never_undecided(self, c11, c37, c32):
+        """The rest of (229, 2e4]: above 1e4 for the curves above, all of it
+        for the small-order models."""
+        for curve in (c11, c37, c32, self.C15, *self.SMALL_ORDER):
+            low = 0 if curve in self.SMALL_ORDER else 10_000
+            for p in (q for q in self.MID_PRIMES if q > low):
+                if curve.good_reduction(p):
+                    via_bsgs, via_sweep = self._both_routes(curve, p)
+                    assert via_bsgs is not None, (curve.label, p)
+                    assert via_bsgs == via_sweep, (curve.label, p)
+
+    def test_orders_match_repeated_addition(self, c11, c37, c32, monkeypatch):
+        """Each search the route makes to 2e4 against the brute-force orders:
+        every one whose point has order n <= 2m (the baby steps then end early
+        at O or at a shared key, or meet y = 0 at j = m), also with the
+        interval shifted by 1 .. n - 1 so the windows meet the multiples of n
+        at every offset, and every 211th of the rest."""
+        calls = []
+        search = curves._orders_in_interval
+        monkeypatch.setattr(curves, "_orders_in_interval", lambda *args:
+                            calls.append(args) or search(*args))
+        labels = []
+        for curve in (c11, c37, c32, self.C15, *self.SMALL_ORDER):
+            for p in self.MID_PRIMES:
+                if curve.good_reduction(p):
+                    big = [c % p for c in curves._square_completed(curve.f, curve.h)]
+                    curves._count_points_bsgs(big, p)
+                    labels += [curve.label] * (len(calls) - len(labels))
+        seen = {"n <= m": set(), "m < n < 2m": set(), "n = 2m": set()}
+        for i, (label, (point, a, p, lo, hi)) in enumerate(zip(labels, calls)):
+            m = math.isqrt((hi - lo) // 2) + 1
+            n = oracles.point_order(point, a, p, 2 * m)
+            if n is not None:
+                seen["n <= m" if n <= m else "n = 2m" if n == 2 * m
+                     else "m < n < 2m"].add((label, p))
+            elif i % 211:
+                continue
+            for shift in range(n or 1):
+                assert search(point, a, p, lo + shift, hi + shift) == \
+                    oracles.orders_in_interval(point, a, p, lo + shift, hi + shift), \
+                    (label, p, point, shift)
+        assert seen["n <= m"] >= set(self.SMALL_ORDER_PRIMES)
+        assert seen["m < n < 2m"] and seen["n = 2m"]
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-50, 50), min_size=5, max_size=5),
            st.sampled_from(MID_PRIMES))
@@ -77,6 +129,15 @@ class TestGroupOrderRoute:
             assume(False)
         assume(curve.good_reduction(p))
         assert count_points(curve, p) == oracles.legendre_count(curve, p)
+
+    @pytest.mark.parametrize("p", [55_103, 55_109, 1_999_993])
+    def test_lazy_sweep_equals_reduce_every_step(self, c11, g2b, p):
+        """All coefficients p - 1 give the largest Horner values; p^4 < 2^63
+        at 55103 but not at 55109, and 1999993 is the largest prime below
+        the default ceiling."""
+        for curve, big in ((c11, [p - 1] * 4 + [0] * 3), (g2b, [p - 1] * 7)):
+            assert curves._count_points_sweep(curve, p, big) == \
+                oracles.sweep_count(curve, p, big), (curve.label, p)
 
     def test_route_choice_and_fallback(self, c11, monkeypatch):
         swept = []

@@ -1,10 +1,13 @@
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobsep import CurveSpec, compute_range, export_csv, import_csv, merge
+from frobsep import store
 from frobsep.errors import (CeilingExceeded, ConflictError, SchemaError,
                             ValidationError)
 from frobsep.store import (TraceTable, bad_prime_sets, from_csv_text,
@@ -59,6 +62,72 @@ class TestComputeRange:
         lopsided = CurveSpec.elliptic("11a1loN", (0, -1, 1, -10, -20), 11 * 3)
         by_n, by_disc = bad_prime_sets(lopsided, 30)
         assert by_n == [3, 11] and by_disc == [11]
+
+
+class TestWorkerPool:
+    """One executor per process and worker count, never more workers than CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_pools(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)   # at most 2 processes
+        store._pool.cache_clear()
+        yield
+        store._pool.cache_clear()
+
+    def test_one_executor_for_two_tables(self, c11, c37, monkeypatch):
+        built = []
+
+        class Counted(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(store, "ProcessPoolExecutor", Counted)
+        for curve in (c11, c37):
+            assert compute_range(curve, 5000, workers=2) == compute_range(curve, 5000)
+        assert built == [2]
+
+    def test_same_table_for_any_worker_count(self, c11, g2b, monkeypatch):
+        tables = [compute_range(c11, 5000, workers=w) for w in (1, 2, 0)]
+        assert tables[0] == tables[1] == tables[2]
+        monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 8)
+        tables = [compute_range(g2b, 97, with_lpoly=True, workers=w) for w in (1, 2, 0)]
+        assert tables[0].lpoly is not None
+        assert tables[0] == tables[1] == tables[2]
+
+    def test_worker_error_keeps_its_type(self, g2b, monkeypatch):
+        monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 8)
+        with pytest.raises(CeilingExceeded) as excinfo:
+            compute_range(g2b, 200, with_lpoly=True, workers=2)   # F_{p^2} past p = 97
+        assert type(excinfo.value.__cause__).__name__ == "_RemoteTraceback"
+
+    def test_broken_pool_is_replaced(self, c11):
+        broken = store._pool(2)
+        assert isinstance(broken.submit(os._exit, 1).exception(timeout=60),
+                          BrokenProcessPool)
+        with pytest.raises(BrokenProcessPool):
+            compute_range(c11, 5000, workers=2)
+        assert compute_range(c11, 5000, workers=2) == compute_range(c11, 5000)
+        assert store._pool(2) is not broken
+
+    def test_workers_clamped_to_cpu_count(self, c11, monkeypatch):
+        started = []
+
+        class Recording:                  # runs the chunks in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(store, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert compute_range(c11, 5000, workers=10 ** 6) == compute_range(c11, 5000)
+        assert started == [3]
+
+    def test_negative_workers_rejected(self, c11):
+        with pytest.raises(ValueError):
+            compute_range(c11, 50, workers=-1)
 
 
 class TestCsvRoundTrip:
