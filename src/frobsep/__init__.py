@@ -2,7 +2,8 @@
 multiplicities, Bach-kernel prime sums, and separating-prime scans."""
 
 from .curves import (CurveSpec, PrimeTrace, count_points, count_points_Fp2,
-                     euler_factor, frobenius_trace, unitarized_eigenangles)
+                     count_points_many, euler_factor, frobenius_trace,
+                     unitarized_eigenangles)
 from .kernels import (KernelParams, KernelSumReport, bach_kernel,
                       bach_kernel_contour, chebyshev_sum, lambda_term,
                       prime_power_tail, weighted_sum)
@@ -21,7 +22,8 @@ __all__ = [
     "KernelSumReport", "PrimeTrace", "SeparationRecord", "TorusPoint",
     "TraceTable", "VirtualCharacter", "adams2", "bach_kernel",
     "bach_kernel_contour", "char_value", "chebyshev_sum", "compute_range",
-    "count_points", "count_points_Fp2", "dimension", "euler_factor",
+    "count_points", "count_points_Fp2", "count_points_many", "dimension",
+    "euler_factor",
     "export_csv", "frobenius_trace", "fs_indicator",
     "import_csv", "inner_product", "lambda_term", "least_separating_prime",
     "merge", "prime_power_tail", "psi_character", "psi_value",

@@ -277,8 +277,9 @@ def main(argv=None, out=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         config = _config_from(args)
-    except ValueError:
+    except ValueError as exc:
         parser.print_usage(sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args, config, out)

@@ -1,16 +1,19 @@
 """Point counting and Euler factors for genus-1 and genus-2 curves over Q.
 
 For odd p the affine solutions of y^2 + h(x) y = f(x) biject with
-solutions of z^2 = F(x), F = 4f + h^2.  Genus-1 curves at p > 229 are
+solutions of z^2 = F(x), F = 4f + h^2.  `count_points_many` counts one
+curve at many primes in one call.  Genus-1 curves at 229 < p < 2^28 are
 counted by Shanks-Mestre baby-step giant-step on the group order in the
 Hasse interval, O(p^{1/4}) group operations per prime (Cohen, A Course in
-Computational Algebraic Number Theory, 7.4.3), each baby step standing for
-itself and its negative.  Every other count, and any prime where that
-search stays ambiguous within its point budget, goes through a square table
-and a Horner sweep of F over all of F_p, reduced mod p only where int64
-could overflow; the tests keep the sweep as the reference for the
-group-order route.  Genus-2 quartic Euler factors additionally count over
-F_{p^2} with explicit quadratic-extension arithmetic.
+Computational Algebraic Number Theory, 7.4.3), run in lockstep with one
+numpy int64 lane per prime: projective coordinates, so no step inverts,
+and one batch inversion per lane to compare x-coordinates.  Every other
+count, and any prime the search leaves undecided within its point budget,
+goes through a uint8 square table and a blocked Horner sweep of F over all
+of F_p, reduced mod p only where int64 could overflow; the tests keep the
+sweep and a scalar search as references for the group-order route.
+Genus-2 quartic Euler factors additionally count over F_{p^2} with
+explicit quadratic-extension arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import (BadReduction, CeilingExceeded, NonUnitaryRoots,
 
 DEFAULT_FP_CEILING: Final = 2_000_000
 DEFAULT_FP2_CEILING: Final = 10_000          # bound on the field size p^2
-UNIT_ROOT_TOL: Final = 1e-6
 ANGLE_TRACE_TOL: Final = 1e-9
 
 
@@ -228,40 +230,82 @@ class PrimeTrace:
         return self.a_p / math.sqrt(self.p)
 
 
-def _check_good(curve: CurveSpec, p: int):
-    if not curve.good_reduction(p):
-        raise BadReduction(f"{curve.label}: p={p} divides the model discriminant")
+def _check_good(curve: CurveSpec, primes: Iterable[int]):
+    disc = curve.discriminant
+    bad = next((p for p in primes if disc % p == 0), None)
+    if bad is not None:
+        raise BadReduction(f"{curve.label}: p={bad} divides the model discriminant")
 
 
 def count_points(curve: CurveSpec, p: int, *,
                  ceiling: int = DEFAULT_FP_CEILING) -> int:
-    """Projective points of the reduced curve over F_p."""
-    if p > ceiling:
-        raise CeilingExceeded(f"p={p} above counting ceiling {ceiling}")
-    _check_good(curve, p)
-    if p == 2:
-        return _count_points_char2(curve)
-    big = [c % p for c in _square_completed(curve.f, curve.h)]
-    if curve.genus == 1 and p > MESTRE_BOUND:
-        n = _count_points_bsgs(big, p)
-        if n is not None:
-            return n
-    return _count_points_sweep(curve, p, big)
+    """Projective points of the reduced curve over F_p: the one-prime case
+    of `count_points_many`, so it pays a batch call's fixed cost."""
+    return int(count_points_many(curve, [p], ceiling=ceiling)[0])
+
+
+def count_points_many(curve: CurveSpec, primes, *,
+                      ceiling: int = DEFAULT_FP_CEILING) -> np.ndarray:
+    """Projective points of the reduced curve over F_p for each of `primes`.
+
+    Genus-1 primes above MESTRE_BOUND go through one lockstep group-order
+    search, which accepts p < SEARCH_PMAX only; every other prime, and any
+    the search leaves undecided, is swept.
+    """
+    try:
+        primes = np.asarray(primes, dtype=np.int64)
+    except OverflowError:
+        raise CeilingExceeded(f"a prime above counting ceiling {ceiling}") from None
+    counts = np.zeros(len(primes), dtype=np.int64)
+    if not primes.size:
+        return counts
+    if primes.max() > ceiling:
+        raise CeilingExceeded(f"p={primes.max()} above counting ceiling {ceiling}")
+    _check_good(curve, primes.tolist())
+    big = _square_completed(curve.f, curve.h)
+    searched = (primes > MESTRE_BOUND) & (curve.genus == 1)
+    if searched.any():
+        if primes.max() >= SEARCH_PMAX:
+            raise CeilingExceeded(f"p={primes.max()} above the genus-1 search "
+                                  f"bound {SEARCH_PMAX}")
+        counts[searched] = _count_points_bsgs(big, primes[searched])
+    for i in np.flatnonzero(counts == 0):
+        p = int(primes[i])
+        counts[i] = (_count_points_char2(curve) if p == 2 else
+                     _count_points_sweep(curve, p, [c % p for c in big]))
+    return counts
+
+
+_BLOCK: Final = 2 ** 15        # x per sweep block: 256 KiB of int64
 
 
 def _count_points_sweep(curve: CurveSpec, p: int, big: list[int]) -> int:
     """Square-table sweep of z^2 = F(x) over every x in F_p, odd p."""
-    x = np.arange(p, dtype=np.int64)
-    nsol = np.bincount((x * x) % p, minlength=p)
-    acc, bound = np.zeros(p, dtype=np.int64), 0     # exact bound on acc
-    for c in big[::-1]:
-        if bound * (p - 1) + c >= 2 ** 63:      # the next step could overflow
-            acc %= p
-            bound = p - 1
-        acc *= x
-        acc += c
-        bound = bound * (p - 1) + c
-    affine = int(nsol[acc % p].sum())
+    half = np.arange((p + 1) // 2, dtype=np.int64)
+    nsol = np.zeros(p, dtype=np.uint8)  # solutions z of z^2 = s
+    nsol[half * half % p] = 2
+    nsol[0] = 1
+    top, *rest = big[::-1]
+    while not top:                      # F is nonzero at a good prime
+        top, *rest = rest
+    # Horner values are bounded by F's value at p - 1, restarted from p - 1
+    # after a reduction; reduce before a step that could reach 2^63
+    reduce_first, bound = [], top
+    for c in rest:
+        reduce_first.append(bound * (p - 1) + c >= 2 ** 63)
+        bound = (p - 1 if reduce_first[-1] else bound) * (p - 1) + c
+    affine = 0
+    for start in range(0, p, _BLOCK):
+        x = np.arange(start, min(start + _BLOCK, p), dtype=np.int64)
+        acc = x * top                   # top < p: the first step needs no check
+        for i, c in enumerate(rest):
+            if i:
+                if reduce_first[i]:
+                    acc -= acc // p * p     # // by one divisor is cheaper than %
+                acc *= x
+            acc += c
+        acc -= acc // p * p
+        affine += int(nsol[acc].sum())
     if curve.genus == 1:
         return affine + 1
     c6, c5 = big[6], big[5]
@@ -277,93 +321,228 @@ def _count_points_sweep(curve: CurveSpec, p: int, big: list[int]) -> int:
 # the group-order search is also measured faster than the sweep.
 MESTRE_BOUND: Final = 229
 _BSGS_POINT_BUDGET: Final = 12
+# int64 bound of the search: every factor of a product there is below 7p
+# in absolute value (the bounds are stated at _dbl and _add), so below 2^31
+# for p < 2^28, and every product below 2^62.
+SEARCH_PMAX: Final = 2 ** 28
+_SEARCH_CELLS: Final = 2 ** 15  # int64 cells per search array: 256 KiB
+# A pass of the search costs 2-4 ms of numpy calls plus ~20 us per lane,
+# so passes of up to this many lanes cost about the same.
+_SMALL_PASS: Final = 256
 
 
-def _count_points_bsgs(big: list[int], p: int) -> int | None:
-    """#E(F_p) from point orders on E and its twist, or None if undecided.
+def _count_points_bsgs(big: list[int], primes: np.ndarray) -> np.ndarray:
+    """#E(F_p) from point orders on E and its twist, 0 where undecided.
 
-    F = 4x^3 + b2 x^2 + 2 b4 x + b6 mod p becomes Y^2 = X^3 - 27 c4 X - 54 c6,
+    F = 4x^3 + b2 x^2 + 2 b4 x + b6 becomes Y^2 = X^3 - 27 c4 X - 54 c6,
     valid for p > 3.  With r = rhs(x) != 0, (x r, r^2) lies on
     Y^2 = X^3 + a r^2 X + b r^3: E when r is a square, its twist E' when
     not, so no square root is taken; #E + #E' = 2p + 2 maps twist orders
-    back.  The candidate set only ever shrinks to a singleton holding #E.
+    back.  A point decides its prime when exactly one multiple of its order
+    lies in the Hasse interval.  The primes are searched in lockstep, one
+    point each per pass, until so few are left that one pass can try every
+    point left in the budget.
     """
     # F[1] = 2 b4, so c4 = b2^2 - 12 F[1] and c6 = -b2^3 + 18 b2 F[1] - 216 b6
     b2, f1, b6 = big[2], big[1], big[0]
-    a = -27 * (b2 * b2 - 12 * f1) % p
-    b = -54 * (-b2 ** 3 + 18 * b2 * f1 - 216 * b6) % p
-    span = math.isqrt(4 * p)
+    a = _residues(-27 * (b2 * b2 - 12 * f1), primes)
+    b = _residues(-54 * (-b2 ** 3 + 18 * b2 * f1 - 216 * b6), primes)
+    counts = np.zeros(len(primes), dtype=np.int64)
+    todo, next_x = np.arange(len(primes)), np.zeros(len(primes), dtype=np.int64)
+    # lanes per call of the search, whose arrays hold about 2m rows per lane
+    m = math.isqrt(math.isqrt(4 * int(primes.max()))) + 1
+    block = max(1, _SEARCH_CELLS // (2 * m))
+    spent = 0
+    while todo.size and spent < _BSGS_POINT_BUDGET:
+        left = _BSGS_POINT_BUDGET - spent
+        width = left if len(todo) * left <= _SMALL_PASS else 1
+        p = primes[todo, None]
+        # the next `width` x with rhs(x) != 0: a cubic has at most 3 roots
+        xs = next_x[todo, None] + np.arange(width + 3)
+        rs = _mul(_mul(xs, xs, p) + a[todo, None], xs, p) + b[todo, None]
+        rs %= p
+        take = (rs != 0) & (np.cumsum(rs != 0, axis=1) <= width)
+        xs, rs = xs[take].reshape(-1, width), rs[take].reshape(-1, width)
+        lanes = np.repeat(todo, width)
+        found = np.concatenate([
+            _search(primes[lanes[i:i + block]], a[lanes[i:i + block]],
+                    xs.ravel()[i:i + block], rs.ravel()[i:i + block])
+            for i in range(0, len(lanes), block)])
+        # a decided point gives #E exactly, so decided points agree
+        counts[todo] = found.reshape(-1, width).max(axis=1)
+        next_x[todo] = xs[:, -1] + 1
+        todo = todo[counts[todo] == 0]
+        spent += width
+    return counts
+
+
+def _residues(c: int, primes: np.ndarray) -> np.ndarray:
+    """c mod p for each prime, for an integer c of any size."""
+    return np.array([c % p for p in primes.tolist()], dtype=np.int64)
+
+
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    s = np.sqrt(v).astype(np.int64)     # v < 2^52: off by at most one
+    s -= s * s > v
+    s += (s + 1) * (s + 1) <= v
+    return s
+
+
+def _search(p, a, x, r) -> np.ndarray:
+    """#E(F_p) per lane from the point at X-coordinate x, 0 if it leaves it open."""
+    span = _isqrt(4 * p)
     lo, hi = p + 1 - span, p + 1 + span
-    candidates = None
-    x, used = 0, 0
-    while used < _BSGS_POINT_BUDGET:
-        r = (x * x * x + a * x + b) % p
-        if r:
-            used += 1
-            orders = _orders_in_interval((x * r % p, r * r % p), a * r * r % p,
-                                         p, lo, hi)
-            if pow(r, (p - 1) // 2, p) != 1:
-                orders = {2 * p + 2 - k for k in orders}
-            candidates = orders if candidates is None else candidates & orders
-            if len(candidates) == 1:
-                return candidates.pop()
-        x += 1
-    return None
+    point = _mul(x, r, p), _mul(r, r, p)
+    lane, k, bad = _multiples(p, _mul(a, point[1], p), point, lo, hi)
+    keep = ~bad[lane]
+    lane, k = lane[keep], k[keep]
+    single = np.bincount(lane, minlength=len(p)) == 1
+    order = np.zeros(len(p), dtype=np.int64)
+    order[lane] = k
+    twist = _pow(r, (p - 1) // 2, p) != 1
+    return np.where(single, np.where(twist, 2 * p + 2 - order, order), 0)
 
 
-def _orders_in_interval(point, a, p, lo, hi) -> set[int]:
-    """Every k in [lo, hi] with k * point = O on Y^2 = X^3 + a X + b.
+def _multiples(p, a, point, lo, hi):
+    """Every k in [lo, hi] with k * point = O on Y^2 = X^3 + a X + b, per lane.
 
-    Baby steps map j * point to -j and -(j * point) to +j (1 <= j <= m, O to
-    0), so a giant step c * point, c = lo + m, lo + 3m, ..., found there means
-    k = c + value; a baby step already there fixes the order of point.
+    Baby steps j * point (j = 1 .. m) and giant steps c * point (c = lo + m,
+    lo + 3m, ...) are made in projective coordinates and their x brought to
+    affine with one inversion per lane; a giant step equal to -+ j * point
+    means k = c +- j, and one at O means k = c.  Returns (lane, k) pairs,
+    each once, and the lanes where this search says nothing: a baby step at
+    O or with y = 0, or a sum that came out (0:0:0) (it stays so).  The
+    pairs of every other lane are complete.
     """
-    m = math.isqrt((hi - lo) // 2) + 1
-    baby: dict = {None: 0}
-    step = None
-    for j in range(1, m + 1):
-        step = _ec_add(step, point, a, p)
-        if step in baby:            # j * point = O or -(i * point)
-            n = j + baby[step]
-            return set(range(-(-lo // n) * n, hi + 1, n))
-        baby[step[0], -step[1] % p] = j
-        baby[step] = -j             # y = 0 (only j = m): c + m is the next c - m
-    stride = _ec_add(step, step, a, p)
-    giant = _ec_mul(lo + m, point, a, p)
-    found = set()
-    for c in range(lo + m, hi + m + 1, 2 * m):
-        if giant in baby:
-            found.add(c + baby[giant])
-        giant = _ec_add(giant, stride, a, p)
-    return {k for k in found if k <= hi}
+    m = _isqrt((hi - lo) // 2) + 1
+    giants = (hi - lo + 2 * m - 1) // (2 * m)
+    nb, ng, lanes = int(m.max()), int(giants.max()), np.arange(len(p))
+    rows = np.arange(nb + ng)[:, None]
+    used = np.where(rows < nb, rows < m, rows - nb < giants)
+    X, Y, Z = (np.empty((nb + ng, len(p)), dtype=np.int64) for _ in range(3))
+    pt = point + (np.ones_like(p),)
+    for j in range(nb):
+        if j:
+            pt = _dbl(pt, a, p) if j == 1 else _add(pt, point, p)
+        X[j], Y[j], Z[j] = pt
+    stride = _dbl((X[m - 1, lanes], Y[m - 1, lanes], Z[m - 1, lanes]), a, p)
+    twice = _dbl(stride, a, p)
+    pt = _ladder(lo + m, point, a, p)
+    at_o = prev = np.zeros(len(p), dtype=bool)
+    for i in range(nb, nb + ng):
+        if i > nb:      # O + stride and stride + stride are exceptional sums
+            pt = np.where(at_o, stride, np.where(prev, twice, _add(pt, stride, p)))
+        X[i], Y[i], Z[i] = pt
+        at_o, prev = (Z[i] == 0) & (Y[i] % p != 0), at_o
+    y_zero = Y % p == 0
+    at_o = used & (Z == 0) & ~y_zero & (rows >= nb)
+    bad = (used & (Z == 0) & ~at_o).any(axis=0) | (used & y_zero)[:nb].any(axis=0)
+    Z[~used | at_o | bad] = 1
+    x = _affine_x(X, Z, p)
+    babies = np.where(used[:nb], x[:nb], -1)
+    i, lane = np.nonzero(at_o[nb:])
+    found = [(lane << 32) + lo[lane] + (2 * i + 1) * m[lane]]
+    for i in range(ng):
+        j, lane = np.nonzero(babies == np.where(used[nb + i] & ~at_o[nb + i],
+                                                x[nb + i], -2))
+        g = nb + i
+        same = _mul(Y[g, lane], Z[j, lane], p[lane]) == _mul(Y[j, lane], Z[g, lane], p[lane])
+        c = lo[lane] + (2 * i + 1) * m[lane]
+        found.append((lane << 32) + np.where(same, c - j - 1, c + j + 1))
+    found = np.sort(np.concatenate(found))         # k < 2^31
+    found = found[np.diff(found, prepend=-1) != 0]  # np.unique imports numpy.ma
+    lane, k = found >> 32, found & 0xFFFFFFFF
+    keep = k <= hi[lane]
+    return lane[keep], k[keep], bad
 
 
-def _ec_add(pt, qt, a, p):
-    """Affine group law on a short Weierstrass curve; None is the identity."""
-    if pt is None:
-        return qt
-    if qt is None:
-        return pt
-    x1, y1 = pt
-    x2, y2 = qt
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (slope * slope - x1 - x2) % p
-    return x3, (slope * (x1 - x3) - y1) % p
+def _mul(a, b, p):
+    """a * b mod p in [0, p), for |a|, |b| < 2^31 (see SEARCH_PMAX).  With a
+    divisor per lane numpy's % costs what // does, so one call does it."""
+    return np.remainder(a * b, p)
 
 
-def _ec_mul(k: int, pt, a, p):
-    acc = None
-    while k:
-        if k & 1:
-            acc = _ec_add(acc, pt, a, p)
-        pt = _ec_add(pt, pt, a, p)
-        k >>= 1
+def _pow(base, e, p):
+    acc = np.ones_like(base)
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        acc = _mul(acc, acc, p)
+        acc = np.where((e >> bit) & 1 == 1, _mul(acc, base, p), acc)
     return acc
+
+
+# Homogeneous projective points (X : Y : Z) on Y^2 = X^3 + a X + b, with
+# X, Z in [0, p) and |Y| < 2p; formulas from the Explicit-Formulas Database.
+# The comments bound each factor that is not a _mul result in [0, p).
+
+def _dbl(pt, a, p):
+    """2 pt (dbl-2007-bl); O and (0:0:0) come out (0:0:0)."""
+    X, Y, Z = pt
+    xx, zz = _mul(X, X, p), _mul(Z, Z, p)
+    w = _mul(a, zz, p) + 3 * xx             # [0, 4p)
+    s = 2 * _mul(Y, Z, p)                   # [0, 2p)
+    ss = _mul(s, s, p)
+    r = _mul(Y, s, p)
+    rr = _mul(r, r, p)
+    bb = _mul(X + r, X + r, p) - xx - rr    # X + r in [0, 2p); bb in (-2p, p)
+    h = _mul(w, w, p) - 2 * bb              # (-2p, 5p)
+    # bb - h in (-7p, 3p); Y3 in (-2p, p)
+    return _mul(h, s, p), _mul(w, bb - h, p) - 2 * rr, _mul(s, ss, p)
+
+
+def _add(pt, qt, p):
+    """pt + qt (add-1998-cmo-2), qt affine (x, y) or projective.
+
+    pt = -qt gives O; pt = qt, or either one O or (0:0:0), gives (0:0:0).
+    """
+    X1, Y1, Z1 = pt
+    if len(qt) == 2:
+        (X2, Y2), y1z2, x1z2, z1z2 = qt, Y1, X1, Z1
+    else:
+        X2, Y2, Z2 = qt
+        y1z2, x1z2, z1z2 = _mul(Y1, Z2, p), _mul(X1, Z2, p), _mul(Z1, Z2, p)
+    u = _mul(Y2, Z1, p) - y1z2              # (-2p, 3p)
+    v = _mul(X2, Z1, p) - x1z2              # (-p, p)
+    uu, vv = _mul(u, u, p), _mul(v, v, p)
+    vvv = _mul(v, vv, p)
+    r = _mul(vv, x1z2, p)
+    s = _mul(uu, z1z2, p) - vvv - 2 * r     # (-3p, p)
+    # r - s in (-p, 4p); Y3 in (-p, p)
+    return _mul(v, s, p), _mul(u, r - s, p) - _mul(vvv, y1z2, p), _mul(vvv, z1z2, p)
+
+
+def _ladder(k, point, a, p):
+    """k * point for affine point, left to right from each lane's top bit.
+
+    Exact at every lane: a partial multiple at O, and a sum of point with
+    itself, are put right, so O comes out as (0 : Y : 0) with Y != 0.
+    """
+    ones = np.ones_like(p)
+    o, once = (0 * ones, ones, 0 * ones), point + (ones,)
+    acc, twice = once, _dbl(once, a, p)
+    for bit in range(int(k.max()).bit_length() - 2, -1, -1):
+        dbl = _dbl(acc, a, p)
+        at_o = dbl[2] == 0              # 2 acc = O; acc at O gives (0:0:0)
+        dbl = np.where(at_o, o, dbl)
+        add = _add(dbl, point, p)       # (0:0:0) when dbl = point
+        add = np.where(at_o, once, np.where((add[2] == 0) & (add[1] == 0), twice, add))
+        step = np.where((k >> bit) & 1 == 1, add, dbl)
+        acc = tuple(np.where(k >> (bit + 1) != 0, step, acc))
+    return acc
+
+
+def _affine_x(X, Z, p):
+    """X / Z per row and lane, Z nonzero: Montgomery's batch inversion with
+    one Fermat inverse per lane."""
+    inv = np.empty_like(Z)              # prefix products, then 1 / Z
+    acc = np.ones_like(p)
+    for i in range(len(Z)):
+        acc = inv[i] = _mul(acc, Z[i], p)
+    acc = _pow(acc, p - 2, p)
+    for i in range(len(Z) - 1, 0, -1):
+        inv[i] = _mul(acc, inv[i - 1], p)
+        acc = _mul(acc, Z[i], p)
+    inv[0] = acc
+    return _mul(X, inv, p)
 
 
 def _count_points_char2(curve: CurveSpec) -> int:
@@ -412,7 +591,7 @@ def count_points_Fp2(curve: CurveSpec, p: int, *,
         raise UnsupportedModel("F_{p^2} counts are only needed for genus 2")
     if p * p > ceiling:
         raise CeilingExceeded(f"p^2={p * p} above enumeration ceiling {ceiling}")
-    _check_good(curve, p)
+    _check_good(curve, [p])
     if p == 2:
         raise UnsupportedModel("genus-2 counting requires p > 2")
     b, c = _quadratic_modulus(p)
@@ -462,27 +641,6 @@ def euler_factor(curve: CurveSpec, p: int, *,
     return (1, -a1, a2, -p * a1, p * p)
 
 
-def _polished_roots(coeffs: tuple[int, ...]) -> np.ndarray:
-    """Roots of an exact integer polynomial: np.roots plus Newton cleanup.
-
-    Companion-matrix eigenvalues carry a few 1e-9 of error on quartics;
-    two Newton steps against the exact coefficients reach rounding level.
-    Multiple roots stall harmlessly (the correction is already tiny there).
-    """
-    roots = np.roots(coeffs[::-1]).astype(complex)
-    deriv = tuple(i * c for i, c in enumerate(coeffs) if i >= 1)
-    for _ in range(3):
-        val = np.zeros_like(roots)
-        for c in coeffs[::-1]:
-            val = val * roots + c
-        slope = np.zeros_like(roots)
-        for i in range(len(deriv), 0, -1):
-            slope = slope * roots + deriv[i - 1]
-        safe = np.abs(slope) > 1e-12 * np.maximum(1.0, np.abs(val))
-        roots[safe] = roots[safe] - val[safe] / slope[safe]
-    return roots
-
-
 def unitarized_roots(lpoly, p: int) -> np.ndarray:
     """Reciprocal Euler-factor roots scaled onto the unit circle."""
     thetas = unitarized_eigenangles(lpoly, p)
@@ -509,19 +667,19 @@ def unitarized_eigenangles(lpoly, p: int) -> tuple[float, ...]:
     factors through the palindromic resolvent, so the unitarized roots sit
     on the circle by construction and near-double roots lose no accuracy;
     the integer functional-equation constraints double as the corruption
-    check.  Higher degrees fall back to polished numeric roots.
+    check.  Genus is 1 or 2, so any other degree is invalid.
     """
     coeffs = tuple(int(c) for c in lpoly)
     if not coeffs or coeffs[0] != 1:
         raise ValidationError(f"Euler factor must start with 1, got {coeffs}")
     degree = len(coeffs) - 1
-    if degree % 2 != 0:
-        raise ValidationError(f"Euler factor degree must be even, got {degree}")
+    if degree not in (2, 4):
+        raise ValidationError(f"Euler factor degree must be 2 or 4, got {degree}")
     if degree == 2:
         if coeffs[2] != p:
             raise NonUnitaryRoots(f"constant term {coeffs[2]} != p={p}")
         thetas = (_quadratic_angle(-coeffs[1], p),)
-    elif degree == 4:
+    else:
         c1, c2, c3, c4 = coeffs[1:]
         if c4 != p * p or c3 != p * c1:
             raise NonUnitaryRoots(
@@ -533,14 +691,6 @@ def unitarized_eigenangles(lpoly, p: int) -> tuple[float, ...]:
         gap = math.sqrt(resolvent)
         thetas = tuple(sorted(
             _quadratic_angle(b, p) for b in ((-c1 + gap) / 2.0, (-c1 - gap) / 2.0)))
-    else:
-        unit = 1.0 / (_polished_roots(coeffs) * math.sqrt(p))
-        if np.any(np.abs(np.abs(unit) - 1.0) > UNIT_ROOT_TOL):
-            raise NonUnitaryRoots(
-                f"roots deviate from the unit circle by "
-                f"{np.max(np.abs(np.abs(unit) - 1.0)):.3e}")
-        angles = np.sort(np.arccos(np.clip(unit.real, -1.0, 1.0)))
-        thetas = tuple(float(a) for a in angles[::2])
     a_norm = -coeffs[1] / math.sqrt(p)
     trace = sum(2.0 * math.cos(t) for t in thetas)
     if abs(trace - a_norm) > ANGLE_TRACE_TOL * max(1.0, abs(a_norm)):

@@ -5,8 +5,10 @@ disk it is a CSV file with a fixed header and one metadata comment line,
 so expensive counts happen once; cache files hold one full bucket of
 primes each and are written atomically (temp file + rename, single
 writer).  All stored values are integers; normalized traces are
-recomputed on demand to avoid precision drift.  Parallel counts use one
-process pool per process, so the fork is paid once, not once per table.
+recomputed on demand to avoid precision drift.  A table is counted in
+chunks of interleaved primes, one batch counting call per chunk; parallel
+counts use one process pool per process, so the fork is paid once, not
+once per table.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Final
 import numpy as np
 
 from .curves import (DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING, CurveSpec,
-                     euler_factor, frobenius_trace, unitarized_eigenangles)
+                     count_points_many, euler_factor, unitarized_eigenangles)
 from .errors import (CeilingExceeded, ConflictError, IncompleteTable,
                      NonUnitaryRoots, SchemaError, ValidationError)
 
@@ -181,22 +183,22 @@ def compute_range(curve: CurveSpec, p_max: int, *,
 def _compute_block(curve, primes, with_lpoly, ceiling, fp2_ceiling,
                    workers) -> TraceTable:
     with_lpoly = with_lpoly and curve.genus == 2
-    # interleaved chunks cost alike, where contiguous ones grow with p
-    k = 4 * workers if workers > 1 and len(primes) >= _PARALLEL_THRESHOLD else 1
+    # one interleaved chunk per worker: chunks cost alike, where contiguous
+    # ones grow with p, and each pays the counting kernel's fixed cost once
+    k = workers if len(primes) >= _PARALLEL_THRESHOLD else 1
     args = [(curve, primes[i::k], with_lpoly, ceiling, fp2_ceiling) for i in range(k)]
-    factors = [None] * len(primes)
+    good = np.zeros(len(primes), dtype=bool)
+    factors = np.zeros((len(primes), 5 if with_lpoly else 2), dtype=np.int64)
     mapper = _pool(workers).map if k > 1 else map
     try:
-        for i, part in enumerate(mapper(_count_block, args)):
-            factors[i::k] = part
+        for i, (part_good, part_factors) in enumerate(mapper(_count_block, args)):
+            good[i::k], factors[i::k] = part_good, part_factors
     except BrokenProcessPool:
         _pool.cache_clear()         # a broken pool is never handed out again
         raise
     return TraceTable(curve_label=curve.label, conductor=curve.conductor,
-                      genus=curve.genus, p=primes,
-                      a_p=[-f[1] if f else 0 for f in factors],
-                      good=[f is not None for f in factors],
-                      lpoly=[f or (0,) * 5 for f in factors] if with_lpoly else None)
+                      genus=curve.genus, p=primes, a_p=-factors[:, 1], good=good,
+                      lpoly=factors if with_lpoly else None)
 
 
 @functools.cache
@@ -205,13 +207,21 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _count_block(args) -> list:
-    """Euler factor, or just (1, -a_p), per prime; None at a bad prime."""
+def _count_block(args) -> tuple[np.ndarray, np.ndarray]:
+    """Good-reduction flags and Euler factors of one chunk of primes, or
+    just (1, -a_p), with zero rows at bad primes."""
     curve, primes, with_lpoly, ceiling, fp2_ceiling = args
-    return [None if curve.is_bad(p)
-            else euler_factor(curve, p, ceiling=ceiling, fp2_ceiling=fp2_ceiling)
-            if with_lpoly else (1, -frobenius_trace(curve, p, ceiling=ceiling).a_p)
-            for p in primes.tolist()]
+    good = np.array([not curve.is_bad(p) for p in primes.tolist()], dtype=bool)
+    factors = np.zeros((len(primes), 5 if with_lpoly else 2), dtype=np.int64)
+    if with_lpoly:
+        for row in np.flatnonzero(good):
+            factors[row] = euler_factor(curve, int(primes[row]), ceiling=ceiling,
+                                        fp2_ceiling=fp2_ceiling)
+    else:
+        factors[good, 0] = 1
+        factors[good, 1] = count_points_many(curve, primes[good], ceiling=ceiling) \
+            - primes[good] - 1
+    return good, factors
 
 
 def bad_prime_sets(curve: CurveSpec, p_max: int) -> tuple[list[int], list[int]]:

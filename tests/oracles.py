@@ -2,10 +2,12 @@
 
 Everything here recomputes from definitions: exhaustive enumeration over
 all affine pairs, explicit Legendre symbols, the F_p sweep reduced at
-every step, point orders by repeated addition, schoolbook quadratic
-extensions, sympy discriminants, and a numerical search for the maximum
-of a character over the group.  None of it shares code with the
-production counting paths or the closed-form t_chi.
+every step, point orders by repeated addition, the scalar affine
+baby-step giant-step search, schoolbook quadratic extensions, polished
+numeric polynomial roots, sympy discriminants, and a numerical search for
+the maximum of a character over the group.  None of it shares code with
+the production counting paths, the resolvent eigenangles or the
+closed-form t_chi.
 """
 
 from __future__ import annotations
@@ -190,6 +192,111 @@ def orders_in_interval(point, a: int, p: int, lo: int, hi: int) -> set[int]:
     """
     n = point_order(point, a, p, hi)
     return set() if n is None else {k for k in range(lo, hi + 1) if k % n == 0}
+
+
+def bsgs_count(big, p: int, budget: int = 12) -> int | None:
+    """#E(F_p) by the scalar Shanks-Mestre search, or None if undecided.
+
+    The reference route for the lockstep search: the same short model and
+    the same points, in affine coordinates with Python integers.  `big` is
+    F = 4f + h^2 mod p, ascending; the candidate set of E and twist orders
+    only ever shrinks to a singleton holding #E.
+    """
+    b2, f1, b6 = big[2], big[1], big[0]
+    a = -27 * (b2 * b2 - 12 * f1) % p
+    b = -54 * (-b2 ** 3 + 18 * b2 * f1 - 216 * b6) % p
+    span = math.isqrt(4 * p)
+    lo, hi = p + 1 - span, p + 1 + span
+    candidates = None
+    x, used = 0, 0
+    while used < budget:
+        r = (x * x * x + a * x + b) % p
+        if r:
+            used += 1
+            orders = bsgs_orders((x * r % p, r * r % p), a * r * r % p, p, lo, hi)
+            if pow(r, (p - 1) // 2, p) != 1:
+                orders = {2 * p + 2 - k for k in orders}
+            candidates = orders if candidates is None else candidates & orders
+            if len(candidates) == 1:
+                return candidates.pop()
+        x += 1
+    return None
+
+
+def bsgs_orders(point, a, p, lo, hi) -> set[int]:
+    """Every k in [lo, hi] with k * point = O, by baby steps and giant steps.
+
+    Baby steps map j * point to -j and -(j * point) to +j (1 <= j <= m, O to
+    0), so a giant step c * point, c = lo + m, lo + 3m, ..., found there means
+    k = c + value; a baby step already there fixes the order of point.
+    """
+    m = math.isqrt((hi - lo) // 2) + 1
+    baby: dict = {None: 0}
+    step = None
+    for j in range(1, m + 1):
+        step = _ec_add(step, point, a, p)
+        if step in baby:            # j * point = O or -(i * point)
+            n = j + baby[step]
+            return set(range(-(-lo // n) * n, hi + 1, n))
+        baby[step[0], -step[1] % p] = j
+        baby[step] = -j             # y = 0 (only j = m): c + m is the next c - m
+    stride = _ec_add(step, step, a, p)
+    giant = _ec_mul(lo + m, point, a, p)
+    found = set()
+    for c in range(lo + m, hi + m + 1, 2 * m):
+        if giant in baby:
+            found.add(c + baby[giant])
+        giant = _ec_add(giant, stride, a, p)
+    return {k for k in found if k <= hi}
+
+
+def _ec_add(pt, qt, a, p):
+    """Affine group law on a short Weierstrass curve; None is the identity."""
+    if pt is None:
+        return qt
+    if qt is None:
+        return pt
+    x1, y1 = pt
+    x2, y2 = qt
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _ec_mul(k: int, pt, a, p):
+    acc = None
+    while k:
+        if k & 1:
+            acc = _ec_add(acc, pt, a, p)
+        pt = _ec_add(pt, pt, a, p)
+        k >>= 1
+    return acc
+
+
+def polished_roots(coeffs: tuple[int, ...]) -> np.ndarray:
+    """Roots of an exact integer polynomial: np.roots plus Newton cleanup.
+
+    Companion-matrix eigenvalues carry a few 1e-9 of error on quartics;
+    two Newton steps against the exact coefficients reach rounding level.
+    Multiple roots stall harmlessly (the correction is already tiny there).
+    """
+    roots = np.roots(coeffs[::-1]).astype(complex)
+    deriv = tuple(i * c for i, c in enumerate(coeffs) if i >= 1)
+    for _ in range(3):
+        val = np.zeros_like(roots)
+        for c in coeffs[::-1]:
+            val = val * roots + c
+        slope = np.zeros_like(roots)
+        for i in range(len(deriv), 0, -1):
+            slope = slope * roots + deriv[i - 1]
+        safe = np.abs(slope) > 1e-12 * np.maximum(1.0, np.abs(val))
+        roots[safe] = roots[safe] - val[safe] / slope[safe]
+    return roots
 
 
 def primes_upto(n: int) -> list[int]:

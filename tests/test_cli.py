@@ -175,6 +175,16 @@ class TestConfig:
         # rejected with the other settings, also by a subcommand that counts nothing
         assert run_cli(["--parallelism", "-1", "kernel-check", "--y", "1"])[0] == 1
 
+    def test_bad_setting_names_itself(self, curve_json, capsys):
+        for argv, message in (
+                (["--parallelism", "-3", "count", str(curve_json["11a1"]), "--pmax", "50"],
+                 "error: parallelism must be >= 0, got -3"),
+                (["--kernel-a", "0.7", "delta", "--g", "1", "--g2", "1"],
+                 "error: kernel a=0.7 outside (0, 1/4]")):
+            assert run_cli(argv) == (1, "")
+            err = capsys.readouterr().err
+            assert err.startswith("usage:") and message in err.splitlines()
+
     def test_missing_file_is_validation_error(self):
         code, _ = run_cli(["count", "/nonexistent/curve.json", "--pmax", "10"])
         assert code == 2

@@ -25,6 +25,8 @@ class TestCountPoints:
     def test_ceiling(self, c32):
         with pytest.raises(CeilingExceeded):
             count_points(c32, 101, ceiling=100)
+        with pytest.raises(CeilingExceeded):
+            count_points(c32, 2 ** 89 - 1)                # beyond int64
 
     def test_genus2_matches_enumeration(self, g2a):
         assert count_points(g2a, 7) == oracles.enumerate_points(g2a, 7)
@@ -45,14 +47,11 @@ class TestCountPoints:
 
 
 class TestGroupOrderRoute:
-    """Baby-step giant-step counts against the sweep, which stays the reference."""
+    """The lockstep group-order search against the sweep, which stays the
+    reference, and against the scalar search and brute-force orders."""
 
-    MID_PRIMES = [p for p in oracles.primes_upto(20_000) if p > curves.MESTRE_BOUND]
-
-    @staticmethod
-    def _both_routes(curve, p):
-        big = [c % p for c in curves._square_completed(curve.f, curve.h)]
-        return curves._count_points_bsgs(big, p), curves._count_points_sweep(curve, p, big)
+    MID_PRIMES = np.array([p for p in oracles.primes_upto(20_000)
+                           if p > curves.MESTRE_BOUND])
 
     C15 = CurveSpec.elliptic("15a1", (1, 1, 1, -10, -10), 15)   # Z/4 x Z/2 torsion
     # seed-7 scan-corpus curves with conductor = radical(disc); at each of
@@ -62,49 +61,59 @@ class TestGroupOrderRoute:
     SMALL_ORDER_PRIMES = (("s7-g1-6", 743), ("s7-g1-6", 3001),
                           ("s7-g1-7", 11821), ("s7-g1-7", 16987))
 
+    @staticmethod
+    def _searched(curve, primes):
+        """Good primes among `primes` and the search's counts, one call."""
+        primes = primes[[curve.good_reduction(p) for p in primes.tolist()]]
+        big = curves._square_completed(curve.f, curve.h)
+        return primes, curves._count_points_bsgs(big, primes)
+
+    @staticmethod
+    def _swept(curve, primes):
+        big = curves._square_completed(curve.f, curve.h)
+        return [curves._count_points_sweep(curve, p, [c % p for c in big])
+                for p in primes.tolist()]
+
     def test_equals_sweep_to_1e4(self, c11, c37, c32):
         c15 = self.C15
         for curve in (c11, c37, c32, c15):
-            for p in (q for q in self.MID_PRIMES if q <= 10_000):
-                if not curve.good_reduction(p):
-                    continue
-                via_bsgs, via_sweep = self._both_routes(curve, p)
-                assert via_bsgs == via_sweep, (curve.label, p)
-                if curve is c32 and p % 4 == 3:
-                    assert via_bsgs == p + 1           # CM: supersingular
-                if curve is c15:
-                    assert via_bsgs % 8 == 0           # Z/4 x Z/2 injects into E(F_p)
+            primes, counts = self._searched(curve, self.MID_PRIMES[self.MID_PRIMES <= 10_000])
+            assert counts.tolist() == self._swept(curve, primes), curve.label
+            if curve is c32:
+                assert (counts[primes % 4 == 3] == primes[primes % 4 == 3] + 1).all()
+            if curve is c15:
+                assert (counts % 8 == 0).all()         # Z/4 x Z/2 injects into E(F_p)
 
     def test_equals_sweep_to_2e4_never_undecided(self, c11, c37, c32):
         """The rest of (229, 2e4]: above 1e4 for the curves above, all of it
-        for the small-order models."""
+        for the small-order models.  No prime is left to the sweep."""
         for curve in (c11, c37, c32, self.C15, *self.SMALL_ORDER):
             low = 0 if curve in self.SMALL_ORDER else 10_000
-            for p in (q for q in self.MID_PRIMES if q > low):
-                if curve.good_reduction(p):
-                    via_bsgs, via_sweep = self._both_routes(curve, p)
-                    assert via_bsgs is not None, (curve.label, p)
-                    assert via_bsgs == via_sweep, (curve.label, p)
+            primes, counts = self._searched(curve, self.MID_PRIMES[self.MID_PRIMES > low])
+            assert counts.all(), (curve.label, primes[counts == 0])
+            assert counts.tolist() == self._swept(curve, primes), curve.label
 
     def test_orders_match_repeated_addition(self, c11, c37, c32, monkeypatch):
-        """Each search the route makes to 2e4 against the brute-force orders:
-        every one whose point has order n <= 2m (the baby steps then end early
-        at O or at a shared key, or meet y = 0 at j = m), also with the
-        interval shifted by 1 .. n - 1 so the windows meet the multiples of n
-        at every offset, and every 211th of the rest."""
+        """Each lane the search runs to 2e4 against the brute-force orders:
+        every one whose point has order n <= 2m, also with the interval
+        shifted by 1 .. n - 1 so the windows meet the multiples of n at every
+        offset, and every 211th of the rest.  The search gives up on a lane
+        only at a baby step at O or with y = 0 (n <= m or n = 2m) or at a
+        sum that comes out (0:0:0); every other lane's multiples are exact."""
         calls = []
-        search = curves._orders_in_interval
-        monkeypatch.setattr(curves, "_orders_in_interval", lambda *args:
+        search = curves._multiples
+        monkeypatch.setattr(curves, "_multiples", lambda *args:
                             calls.append(args) or search(*args))
         labels = []
         for curve in (c11, c37, c32, self.C15, *self.SMALL_ORDER):
-            for p in self.MID_PRIMES:
-                if curve.good_reduction(p):
-                    big = [c % p for c in curves._square_completed(curve.f, curve.h)]
-                    curves._count_points_bsgs(big, p)
-                    labels += [curve.label] * (len(calls) - len(labels))
+            self._searched(curve, self.MID_PRIMES)
+            labels += [curve.label] * (len(calls) - len(labels))
+        lanes = [(label, int(p[i]), int(a[i]), (int(x[i]), int(y[i])), int(lo[i]), int(hi[i]))
+                 for label, (p, a, (x, y), lo, hi) in zip(labels, calls)
+                 for i in range(len(p))]
         seen = {"n <= m": set(), "m < n < 2m": set(), "n = 2m": set()}
-        for i, (label, (point, a, p, lo, hi)) in enumerate(zip(labels, calls)):
+        cases = []
+        for i, (label, p, a, point, lo, hi) in enumerate(lanes):
             m = math.isqrt((hi - lo) // 2) + 1
             n = oracles.point_order(point, a, p, 2 * m)
             if n is not None:
@@ -112,16 +121,29 @@ class TestGroupOrderRoute:
                      else "m < n < 2m"].add((label, p))
             elif i % 211:
                 continue
-            for shift in range(n or 1):
-                assert search(point, a, p, lo + shift, hi + shift) == \
-                    oracles.orders_in_interval(point, a, p, lo + shift, hi + shift), \
-                    (label, p, point, shift)
+            cases += [(n, m, label, p, a, point, lo + s, hi + s) for s in range(n or 1)]
+        _, _, _, p, a, point, lo, hi = zip(*cases)
+        as_int = lambda col: np.array(col, dtype=np.int64)
+        lane, k, gave_up = search(as_int(p), as_int(a), tuple(map(as_int, zip(*point))),
+                                  as_int(lo), as_int(hi))
+        found = [set() for _ in cases]
+        for i, k_i in zip(lane.tolist(), k.tolist()):
+            found[i].add(k_i)
+        exact = 0
+        for i, (n_i, m_i, label, p_i, a_i, point_i, lo_i, hi_i) in enumerate(cases):
+            if n_i is not None and (n_i <= m_i or n_i == 2 * m_i):
+                assert gave_up[i], (label, p_i, point_i)
+            elif not gave_up[i]:
+                assert found[i] == oracles.orders_in_interval(point_i, a_i, p_i, lo_i, hi_i), \
+                    (label, p_i, point_i, lo_i)
+                exact += n_i is not None
         assert seen["n <= m"] >= set(self.SMALL_ORDER_PRIMES)
         assert seen["m < n < 2m"] and seen["n = 2m"]
+        assert exact > 0                       # m < n < 2m windows were compared
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-50, 50), min_size=5, max_size=5),
-           st.sampled_from(MID_PRIMES))
+           st.sampled_from(MID_PRIMES.tolist()))
     def test_random_models_match_legendre_oracle(self, a_invariants, p):
         try:
             curve = CurveSpec.elliptic("rand", a_invariants, 1)
@@ -129,6 +151,26 @@ class TestGroupOrderRoute:
             assume(False)
         assume(curve.good_reduction(p))
         assert count_points(curve, p) == oracles.legendre_count(curve, p)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+           st.lists(st.sampled_from(MID_PRIMES[MID_PRIMES < 4000].tolist()),
+                    min_size=1, max_size=8, unique=True),
+           st.integers(0, 8))
+    def test_random_prime_sets_match_legendre_and_any_chunking(self, a_invariants,
+                                                               primes, cut):
+        try:
+            curve = CurveSpec.elliptic("rand", a_invariants, 1)
+        except ValidationError:
+            assume(False)
+        primes = np.array([p for p in primes if curve.good_reduction(p)], dtype=np.int64)
+        assume(primes.size)
+        counts = curves.count_points_many(curve, primes)
+        assert counts.tolist() == [oracles.legendre_count(curve, p) for p in primes.tolist()]
+        chunks = [curves.count_points_many(curve, part)
+                  for part in (primes[:cut], primes[cut:], primes[::-1])]
+        assert np.concatenate(chunks[:2]).tolist() == counts.tolist()
+        assert chunks[2].tolist() == counts[::-1].tolist()
 
     @pytest.mark.parametrize("p", [55_103, 55_109, 1_999_993])
     def test_lazy_sweep_equals_reduce_every_step(self, c11, g2b, p):
@@ -138,6 +180,31 @@ class TestGroupOrderRoute:
         for curve, big in ((c11, [p - 1] * 4 + [0] * 3), (g2b, [p - 1] * 7)):
             assert curves._count_points_sweep(curve, p, big) == \
                 oracles.sweep_count(curve, p, big), (curve.label, p)
+
+    def test_lazy_sweep_reduces_at_exactly_2_63(self, g2b):
+        """F's coefficients are the base-(p - 1) digits of 2^63, so the last
+        Horner step reaches 2^63 exactly at x = p - 1 unless it reduces."""
+        p, big, rest = 607, [], 2 ** 63
+        while rest:
+            rest, digit = divmod(rest, p - 1)
+            big.append(digit)
+        assert len(big) == 7 and sum(c * (p - 1) ** i for i, c in enumerate(big)) == 2 ** 63
+        assert curves._count_points_sweep(g2b, p, big) == oracles.sweep_count(g2b, p, big)
+
+    def test_search_int64_bound(self, c11):
+        """At the largest prime the search accepts, with every coefficient
+        of F at p - 1, it agrees with the scalar search in Python integers;
+        a prime above the bound is refused."""
+        p = next(q for q in range(curves.SEARCH_PMAX - 1, 0, -2)
+                 if all(q % d for d in range(3, math.isqrt(q) + 1, 2)))
+        big = [p - 1] * 7
+        want = oracles.bsgs_count(big, p)
+        assert want is not None
+        assert curves._count_points_bsgs(big, np.array([p])).tolist() == [want]
+        assert count_points(c11, p, ceiling=p) == \
+            oracles.bsgs_count([c % p for c in curves._square_completed(c11.f, c11.h)], p)
+        with pytest.raises(CeilingExceeded):
+            count_points(c11, 268_435_459, ceiling=2 ** 29)   # first prime above 2^28
 
     def test_route_choice_and_fallback(self, c11, monkeypatch):
         swept = []
@@ -150,6 +217,10 @@ class TestGroupOrderRoute:
         monkeypatch.setattr(curves, "_BSGS_POINT_BUDGET", 0)
         assert count_points(c11, 1009) == oracles.legendre_count(c11, 1009)
         assert swept == [curves.MESTRE_BOUND, 1009]
+        primes = self.MID_PRIMES[:40]
+        assert curves.count_points_many(c11, primes).tolist() == \
+            [oracles.legendre_count(c11, p) for p in primes.tolist()]
+        assert swept[2:] == primes.tolist()      # every lane goes to the sweep
 
 
 class TestFrobeniusTrace:
@@ -248,8 +319,6 @@ class TestEigenangles:
             unitarized_eigenangles((1, 0, 3), 7)          # constant term != p
 
     def test_resolvent_matches_numeric_roots(self):
-        from frobsep.curves import _polished_roots
-
         # (1,-36,586,-4716,17161) at p=131 has a near-double root; the
         # resolvent route stays exact where generic rootfinding loses half
         # its digits
@@ -259,7 +328,7 @@ class TestEigenangles:
         for coeffs, p in cases:
             thetas = unitarized_eigenangles(coeffs, p)
             numeric = np.sort(np.arccos(np.clip(
-                (1.0 / (_polished_roots(coeffs) * math.sqrt(p))).real, -1, 1)))[::2]
+                (1.0 / (oracles.polished_roots(coeffs) * math.sqrt(p))).real, -1, 1)))[::2]
             assert np.allclose(thetas, numeric, atol=1e-6)
 
     def test_genus1_shortcut_matches(self, c11, t11):

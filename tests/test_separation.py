@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobsep import (KernelParams, least_separating_prime, psi_value,
                      separation_scan, sign_criterion_equivalence, weighted_sum)
@@ -26,6 +27,17 @@ class TestPsiValue:
     def test_weil_violation(self):
         with pytest.raises(WeilViolation):
             psi_value(2.5, 0.0, 1, 1)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), st.data())
+    def test_positive_iff_opposite_signs(self, gs, data):
+        """Strictly inside the Weil box (t - 2g) < 0 < (t2 + 2g2), so psi > 0
+        exactly when t * t2 < 0."""
+        g, g2 = gs
+        inside = lambda bound: st.floats(-bound, bound, exclude_min=True,
+                                         exclude_max=True).filter(bool)
+        t, t2 = data.draw(inside(2 * g)), data.draw(inside(2 * g2))
+        assert (psi_value(t, t2, g, g2) > 0) == (t * t2 < 0)
 
 
 class TestSignCriterion:
