@@ -1,9 +1,8 @@
 """Frobenius sign separation toolkit: trace tables, Sato-Tate character
 multiplicities, Bach-kernel prime sums, and separating-prime scans."""
 
-from .curves import (CurveSpec, PrimeTrace, count_points, count_points_Fp2,
-                     count_points_many, euler_factor, frobenius_trace,
-                     unitarized_eigenangles)
+from .curves import (CurveSpec, count_points, count_points_Fp2,
+                     count_points_many, euler_factor, unitarized_eigenangles)
 from .kernels import (KernelParams, KernelSumReport, bach_kernel,
                       bach_kernel_contour, chebyshev_sum, lambda_term,
                       prime_power_tail, weighted_sum)
@@ -13,20 +12,19 @@ from .store import TraceTable, compute_range, export_csv, import_csv, merge
 from .symplectic import (AnalyticMetadata, DominantWeight, TorusPoint,
                          VirtualCharacter, adams2, char_value, dimension,
                          fs_indicator, inner_product, psi_character,
-                         trivial_multiplicity, weyl_integrate)
+                         trivial_multiplicity)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticMetadata", "CurveSpec", "DominantWeight", "KernelParams",
-    "KernelSumReport", "PrimeTrace", "SeparationRecord", "TorusPoint",
-    "TraceTable", "VirtualCharacter", "adams2", "bach_kernel",
-    "bach_kernel_contour", "char_value", "chebyshev_sum", "compute_range",
-    "count_points", "count_points_Fp2", "count_points_many", "dimension",
-    "euler_factor",
-    "export_csv", "frobenius_trace", "fs_indicator",
-    "import_csv", "inner_product", "lambda_term", "least_separating_prime",
-    "merge", "prime_power_tail", "psi_character", "psi_value",
-    "separation_scan", "sign_criterion_equivalence", "trivial_multiplicity",
-    "unitarized_eigenangles", "weighted_sum", "weyl_integrate",
+    "KernelSumReport", "SeparationRecord", "TorusPoint", "TraceTable",
+    "VirtualCharacter", "adams2", "bach_kernel", "bach_kernel_contour",
+    "char_value", "chebyshev_sum", "compute_range", "count_points",
+    "count_points_Fp2", "count_points_many", "dimension", "euler_factor",
+    "export_csv", "fs_indicator", "import_csv", "inner_product",
+    "lambda_term", "least_separating_prime", "merge", "prime_power_tail",
+    "psi_character", "psi_value", "separation_scan",
+    "sign_criterion_equivalence", "trivial_multiplicity",
+    "unitarized_eigenangles", "weighted_sum",
 ]

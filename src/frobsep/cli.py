@@ -178,29 +178,25 @@ def _parse_x_ladder(text: str) -> list[float]:
 def _cmd_sum(args, config: RunConfig, out) -> int:
     ladder = _parse_x_ladder(args.x)
     p_max = int(max(ladder))
-    curve_a = CurveSpec.from_path(args.curve_a)
-    needs_lpoly = args.chi not in ("psi", "trivial")
-    table_a = _table(curve_a, p_max, config,
-                     with_lpoly=needs_lpoly and curve_a.genus == 2)
-    if args.chi == "trivial":
+    curve_a = CurveSpec.from_path(args.curve_a)   # checked even where unused
+    if args.chi == "trivial":                     # chi = 1 needs no curve data
         evaluator = TrivialEvaluator()
     elif args.chi == "psi":
         if args.curve_b is None:
             raise FrobsepError("psi sums need two curves")
-        curve_b = CurveSpec.from_path(args.curve_b)
-        table_b = _table(curve_b, p_max, config)
-        evaluator = PsiPairEvaluator(table_a, table_b)
+        evaluator = PsiPairEvaluator(
+            _table(curve_a, p_max, config),
+            _table(CurveSpec.from_path(args.curve_b), p_max, config))
     else:
         chi = symplectic.VirtualCharacter.from_path(args.chi)
+        specs = [curve_a]
         if chi.is_product_group:
             if args.curve_b is None:
                 raise FrobsepError("product-group characters need two curves")
-            curve_b = CurveSpec.from_path(args.curve_b)
-            table_b = _table(curve_b, p_max, config,
-                             with_lpoly=curve_b.genus == 2)
-            evaluator = VirtualCharEvaluator(chi, table_a, table_b)
-        else:
-            evaluator = VirtualCharEvaluator(chi, table_a)
+            specs.append(CurveSpec.from_path(args.curve_b))
+        evaluator = VirtualCharEvaluator(chi, *(
+            _table(curve, p_max, config, with_lpoly=curve.genus == 2)
+            for curve in specs))
     print(kernels.KernelSumReport.CSV_HEADER, file=out)
     for x in ladder:
         report = kernels.weighted_sum(

@@ -12,8 +12,8 @@ count, and any prime the search leaves undecided within its point budget,
 goes through a uint8 square table and a blocked Horner sweep of F over all
 of F_p, reduced mod p only where int64 could overflow; the tests keep the
 sweep and a scalar search as references for the group-order route.
-Genus-2 quartic Euler factors additionally count over F_{p^2} with
-explicit quadratic-extension arithmetic.
+Genus-2 quartic Euler factors additionally count over F_{p^2}, where the
+norm map to F_p reads the root counts off the same square table.
 """
 
 from __future__ import annotations
@@ -217,19 +217,6 @@ def _bareiss_det(m: list[list[int]]) -> int:
 # counting over F_p
 
 
-@dataclass(frozen=True)
-class PrimeTrace:
-    """Frobenius data of one good prime: point count and trace."""
-
-    p: int
-    point_count_fp: int
-    a_p: int
-
-    @property
-    def a_p_normalized(self) -> float:
-        return self.a_p / math.sqrt(self.p)
-
-
 def _check_good(curve: CurveSpec, primes: Iterable[int]):
     disc = curve.discriminant
     bad = next((p for p in primes if disc % p == 0), None)
@@ -279,12 +266,18 @@ def count_points_many(curve: CurveSpec, primes, *,
 _BLOCK: Final = 2 ** 15        # x per sweep block: 256 KiB of int64
 
 
-def _count_points_sweep(curve: CurveSpec, p: int, big: list[int]) -> int:
-    """Square-table sweep of z^2 = F(x) over every x in F_p, odd p."""
+def _square_counts(p: int) -> np.ndarray:
+    """Solutions z in F_p of z^2 = s for each s in F_p, odd p, as uint8."""
     half = np.arange((p + 1) // 2, dtype=np.int64)
-    nsol = np.zeros(p, dtype=np.uint8)  # solutions z of z^2 = s
+    nsol = np.zeros(p, dtype=np.uint8)
     nsol[half * half % p] = 2
     nsol[0] = 1
+    return nsol
+
+
+def _count_points_sweep(curve: CurveSpec, p: int, big: list[int]) -> int:
+    """Square-table sweep of z^2 = F(x) over every x in F_p, odd p."""
+    nsol = _square_counts(p)
     top, *rest = big[::-1]
     while not top:                      # F is nonzero at a good prime
         top, *rest = rest
@@ -559,66 +552,34 @@ def _count_points_char2(curve: CurveSpec) -> int:
     return count
 
 
-def frobenius_trace(curve: CurveSpec, p: int, *,
-                    ceiling: int = DEFAULT_FP_CEILING) -> PrimeTrace:
-    """Trace of Frobenius at a good prime, with the Weil bound asserted."""
-    n = count_points(curve, p, ceiling=ceiling)
-    a = p + 1 - n
-    if a * a > 4 * curve.genus * curve.genus * p:
-        raise ValidationError(
-            f"{curve.label}: |a_{p}| = {abs(a)} violates the Weil bound")
-    return PrimeTrace(p=p, point_count_fp=n, a_p=a)
-
-
 # ---------------------------------------------------------------------------
 # counting over F_{p^2} (genus 2)
 
 
-@lru_cache(maxsize=None)
-def _quadratic_modulus(p: int) -> tuple[int, int]:
-    """Smallest (b, c) in lexicographic order with t^2 + b t + c irreducible."""
-    for b in range(p):
-        for c in range(p):
-            if all((y * y + b * y + c) % p for y in range(p)):
-                return b, c
-    raise ArithmeticError(f"no irreducible quadratic over F_{p}")
-
-
 def count_points_Fp2(curve: CurveSpec, p: int, *,
                      ceiling: int = DEFAULT_FP2_CEILING) -> int:
-    """Points of a genus-2 curve over F_{p^2} via explicit extension arithmetic."""
+    """Points of a genus-2 curve over F_{p^2} = F_p[t]/(t^2 - n).
+
+    n is the least quadratic non-residue mod p.  A nonzero w in F_{p^2} is
+    a square exactly when its norm a0^2 - n a1^2 is a square in F_p, so the
+    F_p square table, read at the norm, counts the roots of z^2 = F(x).
+    """
     if curve.genus != 2:
         raise UnsupportedModel("F_{p^2} counts are only needed for genus 2")
     if p * p > ceiling:
         raise CeilingExceeded(f"p^2={p * p} above enumeration ceiling {ceiling}")
-    _check_good(curve, [p])
-    if p == 2:
-        raise UnsupportedModel("genus-2 counting requires p > 2")
-    b, c = _quadratic_modulus(p)
-    q = p * p
-    u = np.repeat(np.arange(p, dtype=np.int64), p)
+    _check_good(curve, [p])            # genus-2 models are all bad at 2
+    n = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)
+    u = np.repeat(np.arange(p, dtype=np.int64), p)     # x = u + v t
     v = np.tile(np.arange(p, dtype=np.int64), p)
-
-    def field_mul(a0, a1, b0, b1):
-        # (a0 + a1 t)(b0 + b1 t) with t^2 = -b t - c
-        cross = a1 * b1
-        return (a0 * b0 - c * cross) % p, (a0 * b1 + a1 * b0 - b * cross) % p
-
-    s0, s1 = field_mul(u, v, u, v)
-    nsol = np.bincount(s0 * p + s1, minlength=q)
-    big = [cf % p for cf in _square_completed(curve.f, curve.h)]
-    acc0 = np.zeros(q, dtype=np.int64)
-    acc1 = np.zeros(q, dtype=np.int64)
-    for cf in big[::-1]:
-        acc0, acc1 = field_mul(acc0, acc1, u, v)
-        acc0 = (acc0 + cf) % p
-    affine = int(nsol[acc0 * p + acc1].sum())
-    c6, c5 = big[6], big[5]
-    if c6 != 0:
-        return affine + int(nsol[c6 * p])
-    if c5 != 0:
-        return affine + 1
-    raise BadReduction(f"{curve.label}: model degenerates at infinity mod {p}")
+    big = [c % p for c in _square_completed(curve.f, curve.h)]
+    a0 = a1 = np.zeros(p * p, dtype=np.int64)
+    for c in big[::-1]:
+        a0, a1 = (a0 * u + n * (a1 * v % p) + c) % p, (a0 * v + a1 * u) % p
+    affine = int(_square_counts(p)[(a0 * a0 - n * (a1 * a1 % p)) % p].sum())
+    # good reduction leaves deg F >= 5 mod p; a nonzero leading
+    # coefficient lies in F_p, so it is a square in F_{p^2}
+    return affine + (2 if big[6] else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +589,15 @@ def count_points_Fp2(curve: CurveSpec, p: int, *,
 def euler_factor(curve: CurveSpec, p: int, *,
                  ceiling: int = DEFAULT_FP_CEILING,
                  fp2_ceiling: int = DEFAULT_FP2_CEILING) -> tuple[int, ...]:
-    """Integer Euler-factor coefficients, ascending in T (degree 2*genus)."""
-    trace = frobenius_trace(curve, p, ceiling=ceiling)
+    """Integer Euler-factor coefficients, ascending in T (degree 2*genus),
+    with the Weil bound on the trace asserted."""
+    a1 = p + 1 - count_points(curve, p, ceiling=ceiling)
+    if a1 * a1 > 4 * curve.genus * curve.genus * p:
+        raise ValidationError(
+            f"{curve.label}: |a_{p}| = {abs(a1)} violates the Weil bound")
     if curve.genus == 1:
-        return (1, -trace.a_p, p)
+        return (1, -a1, p)
     n2 = count_points_Fp2(curve, p, ceiling=fp2_ceiling)
-    a1 = trace.a_p
     s2 = p * p + 1 - n2
     if (a1 * a1 - s2) % 2 != 0:
         raise ArithmeticError(f"{curve.label}: inconsistent power sums at p={p}")

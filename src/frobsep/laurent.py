@@ -9,6 +9,7 @@ reference path for trivial-multiplicity computations at small rank.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from collections import defaultdict
 from fractions import Fraction
@@ -153,13 +154,16 @@ def trivial_multiplicity_exact(p: LaurentPoly, g: int) -> int:
     return pd.get(_rho(g), 0)
 
 
-def evaluate(p: LaurentPoly, angles) -> float:
-    """Numeric evaluation at torus angles; selfdual inputs give real values."""
-    import cmath
-
+def _complex_eval(p: LaurentPoly, angles) -> complex:
     total = 0j
     for e, c in p.items():
         total += c * cmath.exp(1j * sum(a * t for a, t in zip(e, angles)))
+    return total
+
+
+def evaluate(p: LaurentPoly, angles) -> float:
+    """Numeric evaluation at torus angles; selfdual inputs give real values."""
+    total = _complex_eval(p, angles)
     if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
         raise ArithmeticError(f"non-real evaluation {total}; input not selfdual?")
     return total.real
@@ -171,20 +175,11 @@ def character_value_exact(lam: tuple[int, ...], g: int, angles) -> float:
     Independent of the Chebyshev-determinant production path; used as a
     cross-check oracle at generic (non-singular) angles.
     """
-    import cmath
-
-    def complex_eval(p):
-        total = 0j
-        for e, c in p.items():
-            total += c * cmath.exp(1j * sum(a * t for a, t in zip(e, angles)))
-        return total
-
     padded = tuple(lam) + (0,) * (g - len(lam))
     r = _rho(g)
     mu = tuple(padded[i] + r[i] for i in range(g))
-    num = complex_eval(antisymmetrized_orbit(mu, g))
-    den = complex_eval(weyl_denominator(g))
-    ratio = num / den
+    ratio = (_complex_eval(antisymmetrized_orbit(mu, g), angles)
+             / _complex_eval(weyl_denominator(g), angles))
     if abs(ratio.imag) > 1e-8 * max(1.0, abs(ratio.real)):
         raise ArithmeticError(f"character ratio came out non-real: {ratio}")
     return ratio.real

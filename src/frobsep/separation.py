@@ -40,24 +40,33 @@ class SeparationRecord:
                 f"{self.conductor_b},{least},{self.log_bound:.12g},{ratio}")
 
 
-def psi_value(t: float, t2: float, g: int, g2: int) -> float:
-    """Separator value at normalized traces: t * t2 * (t - 2g) * (t2 + 2g2)."""
+def _psi_factors(t: float, t2: float, g: int, g2: int) -> tuple[float, ...]:
     if abs(t) > 2 * g or abs(t2) > 2 * g2:
         raise WeilViolation(
             f"traces ({t}, {t2}) leave the Weil box for (g, g') = ({g}, {g2})")
-    return t * t2 * (t - 2 * g) * (t2 + 2 * g2)
+    return t, t2, t - 2 * g, t2 + 2 * g2
+
+
+def psi_value(t: float, t2: float, g: int, g2: int) -> float:
+    """Separator value at normalized traces: t * t2 * (t - 2g) * (t2 + 2g2),
+    rounded as a float product (it can underflow to 0 for tiny t * t2)."""
+    a, b, c, d = _psi_factors(t, t2, g, g2)
+    return a * b * c * d
 
 
 def sign_criterion_equivalence(t: float, t2: float, g: int,
                                g2: int) -> tuple[bool, bool]:
-    """(psi > 0, t * t2 < 0); the two agree strictly inside the Weil box."""
-    if abs(t) > 2 * g or abs(t2) > 2 * g2:
-        raise WeilViolation(
-            f"traces ({t}, {t2}) leave the Weil box for (g, g') = ({g}, {g2})")
+    """(psi > 0, t * t2 < 0); the two agree strictly inside the Weil box.
+
+    Both sides are read off the signs of the factors, not off a product
+    that could underflow.
+    """
+    factors = _psi_factors(t, t2, g, g2)
     if abs(t) == 2 * g or abs(t2) == 2 * g2:
         raise BoundaryCase(
             "equivalence degenerates when a trace sits on the Weil boundary")
-    return psi_value(t, t2, g, g2) > 0, t * t2 < 0
+    positive = all(factors) and sum(f < 0 for f in factors) % 2 == 0
+    return positive, bool(t and t2) and (t < 0) != (t2 < 0)
 
 
 def log_bound(conductor_a: int, conductor_b: int) -> float:
@@ -73,18 +82,18 @@ def least_separating_prime(table_a: TraceTable, table_b: TraceTable,
     hits = np.flatnonzero(
         table_a.good[rows_a] & table_b.good[rows_b]
         & (np.sign(table_a.a_p[rows_a]) * np.sign(table_b.a_p[rows_b]) < 0))
-    found = int(primes[hits[0]]) if hits.size else None
+    return _record(table_a, table_b, p_max,
+                   found=int(primes[hits[0]]) if hits.size else None)
+
+
+def _record(table_a: TraceTable, table_b: TraceTable, p_max: int, *,
+            found: int | None = None, note: str = "") -> SeparationRecord:
     bound = log_bound(table_a.conductor, table_b.conductor)
     return SeparationRecord(
-        label_a=table_a.curve_label,
-        label_b=table_b.curve_label,
-        conductor_a=table_a.conductor,
-        conductor_b=table_b.conductor,
-        least_prime=found,
-        search_bound=p_max,
-        log_bound=bound,
-        ratio=None if found is None else found / bound,
-    )
+        label_a=table_a.curve_label, label_b=table_b.curve_label,
+        conductor_a=table_a.conductor, conductor_b=table_b.conductor,
+        least_prime=found, search_bound=p_max, log_bound=bound,
+        ratio=None if found is None else found / bound, note=note)
 
 
 def separation_scan(pairs, p_max: int) -> list[SeparationRecord]:
@@ -94,22 +103,13 @@ def separation_scan(pairs, p_max: int) -> list[SeparationRecord]:
     records = []
     for table_a, table_b in pairs:
         if table_a.curve_label == table_b.curve_label:
-            records.append(SeparationRecord(
-                label_a=table_a.curve_label, label_b=table_b.curve_label,
-                conductor_a=table_a.conductor, conductor_b=table_b.conductor,
-                least_prime=None, search_bound=p_max,
-                log_bound=log_bound(table_a.conductor, table_b.conductor),
-                ratio=None, note="skipped: identical labels"))
+            records.append(_record(table_a, table_b, p_max,
+                                   note="skipped: identical labels"))
             continue
         try:
             records.append(least_separating_prime(table_a, table_b, p_max))
         except FrobsepError as exc:  # data errors are collected, scan continues
-            records.append(SeparationRecord(
-                label_a=table_a.curve_label, label_b=table_b.curve_label,
-                conductor_a=table_a.conductor, conductor_b=table_b.conductor,
-                least_prime=None, search_bound=p_max,
-                log_bound=log_bound(table_a.conductor, table_b.conductor),
-                ratio=None, note=f"error: {exc}"))
+            records.append(_record(table_a, table_b, p_max, note=f"error: {exc}"))
     return records
 
 

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Final, Iterable, Mapping
+from typing import Final, Iterable, Mapping
 
 import numpy as np
 
@@ -117,35 +117,37 @@ def _exponents(parts: Partition, g: int) -> np.ndarray:
     return np.array([lam[k] + g - k for k in range(g)], dtype=np.int64)
 
 
+def _weyl_ratio(ell: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev determinant det U_{ell_k - 1}(c_i) and Weyl denominator
+    prod 2 (c_i - c_j) at cosine rows c (N, g); their ratio is sp_lambda."""
+    g = c.shape[1]
+    u = _cheb_u(c, int(ell.max()) - 1)
+    mat = np.empty((c.shape[0], g, g))
+    for k in range(g):
+        mat[:, :, k] = u[ell[k] - 1]
+    den = np.ones(c.shape[0])
+    for i in range(g):
+        for j in range(i + 1, g):
+            den *= 2.0 * (c[:, i] - c[:, j])
+    return np.linalg.det(mat), den
+
+
 def _char_values(parts: Partition, g: int, thetas: np.ndarray) -> np.ndarray:
     """sp_lambda at angle rows thetas (N, g); handles coincident cosines."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    n = thetas.shape[0]
     ell = _exponents(parts, g)
     c = np.cos(thetas)
-    u = _cheb_u(c, int(ell.max()) - 1)
     if g == 1:
-        return u[ell[0] - 1, :, 0]
-    mat = np.empty((n, g, g))
-    for k in range(g):
-        mat[:, :, k] = u[ell[k] - 1]
-    num = np.linalg.det(mat)
-    den = np.ones(n)
-    min_gap = np.full(n, np.inf)
-    for i in range(g):
-        for j in range(i + 1, g):
-            diff = c[:, i] - c[:, j]
-            den *= 2.0 * diff
-            min_gap = np.minimum(min_gap, np.abs(diff))
-    out = np.empty(n)
-    ok = min_gap > COINCIDENCE_TOL
+        return _cheb_u(c, int(ell[0]) - 1)[ell[0] - 1, :, 0]
+    num, den = _weyl_ratio(ell, c)
+    i, j = np.triu_indices(g, 1)
+    ok = np.abs(c[:, i] - c[:, j]).min(axis=1) > COINCIDENCE_TOL
+    out = np.empty(len(c))
     out[ok] = num[ok] / den[ok]
-    bad = ~ok
-    if bad.any():
-        if g == 2:
-            out[bad] = _confluent_rank2(ell, c[bad])
-        else:
-            out[bad] = _jittered(parts, g, thetas[bad])
+    if not ok.all():
+        bad = ~ok
+        out[bad] = (_confluent_rank2(ell, c[bad]) if g == 2
+                    else _jittered(ell, thetas[bad]))
     return out
 
 
@@ -157,24 +159,14 @@ def _confluent_rank2(ell: np.ndarray, c: np.ndarray) -> np.ndarray:
     return 0.5 * (du[l1] * u[l2] - u[l1] * du[l2])
 
 
-def _jittered(parts: Partition, g: int, thetas: np.ndarray) -> np.ndarray:
+def _jittered(ell: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     # rank >= 3 fallback: average over three deterministic angle perturbations
     rng = np.random.default_rng(0x5EED)
     acc = np.zeros(thetas.shape[0])
     for _ in range(3):
         shift = JITTER_EPS * rng.uniform(-1.0, 1.0, size=thetas.shape)
-        jt = thetas + shift
-        ell = _exponents(parts, g)
-        c = np.cos(jt)
-        u = _cheb_u(c, int(ell.max()) - 1)
-        mat = np.empty((thetas.shape[0], g, g))
-        for k in range(g):
-            mat[:, :, k] = u[ell[k] - 1]
-        den = np.ones(thetas.shape[0])
-        for i in range(g):
-            for j in range(i + 1, g):
-                den *= 2.0 * (c[:, i] - c[:, j])
-        acc += np.linalg.det(mat) / den
+        num, den = _weyl_ratio(ell, np.cos(thetas + shift))
+        acc += num / den
     return acc / 3.0
 
 
@@ -225,14 +217,6 @@ def _char_on_grid(g: int, parts: Partition, order: int) -> np.ndarray:
     values = _char_values(parts, g, thetas)
     values.setflags(write=False)
     return values
-
-
-def weyl_integrate(f: Callable[[TorusPoint], float], g: int,
-                   order: int = DEFAULT_QUADRATURE_ORDER) -> float:
-    """Haar integral of a class function on USp(2g) given by point evaluation."""
-    thetas, wd, norm = _grid(g, order)
-    vals = np.array([f(TorusPoint(tuple(row))) for row in thetas])
-    return float(np.dot(wd, vals) / norm)
 
 
 @lru_cache(maxsize=None)
@@ -326,9 +310,6 @@ class VirtualCharacter:
 
     def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         return self + (-other)
-
-    def scaled(self, k: int) -> "VirtualCharacter":
-        return VirtualCharacter(self.gs, {key: k * c for key, c in self.terms.items()})
 
     @property
     def total_dimension(self) -> int:
@@ -564,19 +545,22 @@ def weight_metadata(weight: DominantWeight,
 # Adams operation and Frobenius-Schur indicators
 
 
-def adams2(chi: VirtualCharacter,
-           order: int = DEFAULT_QUADRATURE_ORDER) -> VirtualCharacter:
+def adams2(chi: VirtualCharacter) -> VirtualCharacter:
     """Square Adams operation: the virtual character theta -> chi(2*theta).
 
     Equal to Sym^2(chi) - Alt^2(chi); realized through the exact Laurent
-    substitution z -> z^2 at rank <= 4 and by quadrature decomposition at
-    higher rank.  Metadata follows the doubling transform for irreducible
-    inputs with known metadata.
+    substitution z -> z^2, so every factor rank is at most
+    laurent.MAX_EXACT_RANK.  Metadata follows the doubling transform for
+    irreducible inputs with known metadata.
     """
     factor_maps: list[dict[Partition, dict[Partition, int]]] = []
     for pos, g in enumerate(chi.gs):
         needed = sorted({key[pos] for key in chi.terms})
-        factor_maps.append({p: _adams2_of_weight(p, g, order) for p in needed})
+        if needed and g > laurent.MAX_EXACT_RANK:
+            raise UnsupportedModel(
+                f"adams2 supports rank <= {laurent.MAX_EXACT_RANK}, got {g}")
+        factor_maps.append({p: laurent.decompose(laurent.power_substitution(
+            _sp_poly(p, g), 2), g) for p in needed})
     terms: dict[TermKey, int] = {}
     for key, coeff in chi.terms.items():
         expanded: list[tuple[TermKey, int]] = [((), coeff)]
@@ -596,28 +580,6 @@ def adams2(chi: VirtualCharacter,
 
 def _is_irreducible(chi: VirtualCharacter) -> bool:
     return len(chi.terms) == 1 and next(iter(chi.terms.values())) == 1
-
-
-def _adams2_of_weight(parts: Partition, g: int,
-                      order: int) -> dict[Partition, int]:
-    if g <= laurent.MAX_EXACT_RANK:
-        doubled = laurent.power_substitution(_sp_poly(parts, g), 2)
-        return laurent.decompose(doubled, g)
-    return _decompose_by_quadrature(
-        lambda th: _char_values(parts, g, 2.0 * th), g, 2 * sum(parts), order)
-
-
-def _decompose_by_quadrature(values_fn, g: int, max_degree: int,
-                             order: int) -> dict[Partition, int]:
-    thetas, wd, norm = _grid(g, order)
-    vals = values_fn(thetas)
-    out: dict[Partition, int] = {}
-    for lam in laurent.partitions_upto(max_degree, g):
-        ip = float(np.dot(wd, vals * _char_on_grid(g, lam, order)) / norm)
-        c = _round_gate(ip, f"multiplicity of {lam}")
-        if c:
-            out[lam] = c
-    return out
 
 
 def adams2_metadata(meta: AnalyticMetadata,

@@ -61,6 +61,22 @@ class TestSum:
         assert code == 0
         assert text.splitlines()[1].split(",")[6] == "25"   # pi(100)
 
+    def test_trivial_reads_and_counts_no_table(self, curve_json, tmp_path, monkeypatch):
+        import frobsep.store as store_mod
+
+        monkeypatch.setattr(store_mod, "CACHE_BUCKET", 100)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        code, text = run_cli(["--cache-dir", str(cache), "sum", str(curve_json["11a1"]),
+                              "--x", "3e3", "--chi", "trivial"])
+        assert (code, text) == (0, TestFrozenStdout.CASES["trivial"][1])
+        assert not any(cache.iterdir())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"label": "x", "genus": 1, "conductor": 0,
+                                   "model": {"a_invariants": [0, 0, 0, 1, 0]}}),
+                       encoding="utf-8")
+        assert run_cli(["sum", str(bad), "--x", "100", "--chi", "trivial"])[0] == 2
+
     def test_character_file(self, curve_json, tmp_path):
         # chi = V of the first curve: delta = 0, so main term is 0
         doc = {"g": 1, "terms": [{"lambda": [1], "coeff": 1}]}
@@ -220,6 +236,9 @@ class TestRuntimeImports:
                                 str(curve_json["11a1"]), str(g2_path),
                                 "--x", "1e3"], tmp_path)
         assert last == "exit 0 []"
+
+    def test_every_export_resolves(self):
+        assert [name for name in frobsep.__all__ if not hasattr(frobsep, name)] == []
 
     def test_delta_22(self, tmp_path):
         assert self.run_module(["delta", "--g", "2", "--g2", "2"],

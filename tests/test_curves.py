@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from frobsep import (CurveSpec, count_points, count_points_Fp2, euler_factor,
-                     frobenius_trace, unitarized_eigenangles)
+                     unitarized_eigenangles)
 from frobsep import curves
 from frobsep.evaluators import TautologicalEvaluator
 from frobsep.errors import (BadReduction, CeilingExceeded, NonUnitaryRoots,
@@ -224,26 +224,28 @@ class TestGroupOrderRoute:
 
 
 class TestFrobeniusTrace:
-    def test_a3_of_x3_plus_x(self, c32):
-        assert frobenius_trace(c32, 3).a_p == 0
+    """a_p = p + 1 - #C(F_p), from `count_points`; `euler_factor` asserts
+    the Weil bound on it."""
 
     def test_weil_bound_holds(self, c11, g2b):
         for curve in (c11, g2b):
             for p in oracles.primes_upto(200):
                 if curve.good_reduction(p):
-                    tr = frobenius_trace(curve, p)
-                    assert tr.a_p ** 2 <= 4 * curve.genus ** 2 * p
+                    a_p = p + 1 - count_points(curve, p)
+                    assert a_p ** 2 <= 4 * curve.genus ** 2 * p
 
     def test_dual_oracles_agree_at_5(self):
         curve = CurveSpec.elliptic("32b", (0, 0, 0, -1, 0), 32)  # y^2 = x^3 - x
         n_enum = oracles.enumerate_points(curve, 5)
         n_leg = oracles.legendre_count(curve, 5)
         assert n_enum == n_leg
-        assert frobenius_trace(curve, 5).a_p == 5 + 1 - n_enum == -2
+        assert 5 + 1 - count_points(curve, 5) == 5 + 1 - n_enum == -2
 
-    def test_normalized_trace(self, c11):
-        tr = frobenius_trace(c11, 3)
-        assert tr.a_p_normalized == pytest.approx(tr.a_p / math.sqrt(3))
+    def test_weil_violation_raises(self, c11, g2b, monkeypatch):
+        monkeypatch.setattr(curves, "count_points", lambda curve, p, **kw: p + 101)
+        for curve in (c11, g2b):                  # a_3 = -100
+            with pytest.raises(ValidationError, match="Weil bound"):
+                euler_factor(curve, 3)
 
 
 class TestFp2:
@@ -251,9 +253,18 @@ class TestFp2:
         with pytest.raises(UnsupportedModel):
             count_points_Fp2(c11, 3)
 
-    def test_matches_field_enumeration(self, g2a, g2b):
-        for curve, p in [(g2a, 3), (g2a, 7), (g2b, 3), (g2b, 5)]:
-            assert count_points_Fp2(curve, p) == oracles.enumerate_points_fp2(curve, p)
+    def test_matches_field_enumeration(self):
+        """Every good odd p <= 13 on g2a, g2b and the seed-7 corpus models:
+        26 pairs; the oracle is O(p^4), so the bound stays small."""
+        pairs = 0
+        for label, f, h, _ in TestCurveSpec.FROZEN_GENUS2:
+            curve = CurveSpec.hyperelliptic(label, f, h, 1)
+            for p in oracles.primes_upto(13)[1:]:
+                if curve.good_reduction(p):
+                    assert count_points_Fp2(curve, p) == \
+                        oracles.enumerate_points_fp2(curve, p), (label, p)
+                    pairs += 1
+        assert pairs == 26
 
     def test_ceiling(self, g2a):
         with pytest.raises(CeilingExceeded):
@@ -335,7 +346,7 @@ class TestEigenangles:
         # genus-1 evaluators take the angle straight from the trace column
         angles = TautologicalEvaluator(t11).angles(np.array([3, 5, 7, 13]))
         for p, angle in zip((3, 5, 7, 13), angles):
-            a = frobenius_trace(c11, p).a_p
+            a = p + 1 - count_points(c11, p)
             via_poly = unitarized_eigenangles((1, -a, p), p)
             assert tuple(angle) == pytest.approx(via_poly, abs=1e-9)
 

@@ -57,6 +57,13 @@ class TestSignCriterion:
     def test_zero_trace_gives_false_false(self):
         assert sign_criterion_equivalence(0.0, 1.0, 1, 1) == (False, False)
 
+    @pytest.mark.parametrize("t,t2", [(1.9999999999999998, -5e-324), (1e-200, -1e-200)])
+    def test_underflowing_product_still_agrees(self, t, t2):
+        """t * t2 or the whole psi product rounds to 0 here, so the signs
+        come from the factors; psi_value still returns the rounded product."""
+        assert sign_criterion_equivalence(t, t2, 1, 1) == (True, True)
+        assert psi_value(t, t2, 1, 1) == t * t2 * (t - 2) * (t2 + 2) == 0.0
+
 
 class TestLeastSeparatingPrime:
     def test_first_prime_qualifies(self):

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from frobsep import laurent
 from frobsep import symplectic as sy
-from frobsep.errors import NonIntegral, OrderTooSmall
+from frobsep.errors import NonIntegral, OrderTooSmall, UnsupportedModel
 
 
 def all_weights(g, max_degree=3):
@@ -54,6 +54,14 @@ class TestCharValue:
         inside = sy.char_value(w, sy.TorusPoint((base, base + 1e-8)))
         assert inside == pytest.approx(limit, abs=1e-6)
 
+    def test_rank3_coincident_cosines(self):
+        """Two equal angles at rank 3 take the jittered ratio, which agrees
+        with the antisymmetrized oracle just off the diagonal."""
+        w = sy.DominantWeight(3, (1,))
+        got = sy.char_value(w, sy.TorusPoint((0.7, 0.7, 1.9)))
+        near = laurent.character_value_exact(w.parts, 3, (0.7, 0.7 + 1e-7, 1.9))
+        assert got == pytest.approx(near, abs=1e-6)
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sy.char_value(sy.DominantWeight(2, (1,)), sy.TorusPoint((0.3,)))
@@ -73,22 +81,23 @@ class TestDimension:
 
 
 class TestWeylIntegrate:
+    """Haar integrals on the Weyl-density grid, through inner products."""
+
     def test_normalization(self):
-        assert sy.weyl_integrate(lambda p: 1.0, 1) == pytest.approx(1.0, abs=1e-14)
+        one = sy.trivial_char(1)
+        assert sy.inner_product_raw(one, one) == pytest.approx(1.0, abs=1e-14)
 
     def test_tautological_integrates_to_zero(self):
-        w = sy.DominantWeight(1, (1,))
-        val = sy.weyl_integrate(lambda p: sy.char_value(w, p), 1, order=64)
+        val = sy.inner_product_raw(sy.tautological_char(1), sy.trivial_char(1), order=64)
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_tautological_square_integrates_to_one(self):
-        w = sy.DominantWeight(1, (1,))
-        val = sy.weyl_integrate(lambda p: sy.char_value(w, p) ** 2, 1, order=64)
-        assert val == pytest.approx(1.0, abs=1e-9)
+        v = sy.tautological_char(1)
+        assert sy.inner_product_raw(v, v, order=64) == pytest.approx(1.0, abs=1e-9)
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmall):
-            sy.weyl_integrate(lambda p: 1.0, 1, order=4)
+            sy.inner_product(sy.trivial_char(1), sy.trivial_char(1), order=4)
 
 
 class TestInnerProducts:
@@ -146,7 +155,7 @@ class TestTrivialMultiplicity:
 
 
 class TestPsiCharacter:
-    @pytest.mark.parametrize("g,g2", [(1, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("g,g2", [(1, 1), (1, 2), (2, 2), (3, 1)])
     def test_delta_is_one_by_both_paths(self, g, g2):
         psi = sy.psi_character(g, g2)
         assert sy.trivial_multiplicity(psi) == 1
@@ -217,6 +226,10 @@ class TestAdams:
             chi = sy.tautological_char(g)
             assert sy.trivial_multiplicity(sy.adams2(chi)) == sy.fs_indicator(
                 sy.DominantWeight(g, (1,)))
+
+    def test_rank_above_exact_limit_unsupported(self):
+        with pytest.raises(UnsupportedModel, match="adams2 supports rank <= 4"):
+            sy.adams2(sy.tautological_char(5))
 
     def test_metadata_transform(self):
         v = sy.tautological_char(2)
