@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage, 2 validation/data error, 3 domain outcome
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from . import kernels, separation, store, symplectic
 from .curves import CurveSpec, DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING
-from .errors import FrobsepError
+from .errors import FrobsepError, parsing
 from .evaluators import (PsiPairEvaluator, TautologicalEvaluator,
                          TrivialEvaluator, VirtualCharEvaluator)
 
@@ -170,8 +171,8 @@ def _parse_x_ladder(text: str) -> list[float]:
         values = [float(v) for v in text.split(",") if v]
     except ValueError:
         raise ValueError(f"bad --x list {text!r}") from None
-    if not values or any(x < 2 for x in values):
-        raise ValueError("every x must be >= 2")
+    if not values or not all(2 <= x < math.inf for x in values):
+        raise ValueError("every x must be finite and >= 2")
     return values
 
 
@@ -195,8 +196,7 @@ def _cmd_sum(args, config: RunConfig, out) -> int:
                 raise FrobsepError("product-group characters need two curves")
             specs.append(CurveSpec.from_path(args.curve_b))
         evaluator = VirtualCharEvaluator(chi, *(
-            _table(curve, p_max, config, with_lpoly=curve.genus == 2)
-            for curve in specs))
+            _table(curve, p_max, config, with_lpoly=True) for curve in specs))
     print(kernels.KernelSumReport.CSV_HEADER, file=out)
     for x in ladder:
         report = kernels.weighted_sum(
@@ -218,10 +218,8 @@ def _cmd_separate(args, config: RunConfig, out) -> int:
 
 
 def _cmd_scan(args, config: RunConfig, out) -> int:
-    import json
-
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        corpus = json.load(fh)
+    with open(args.corpus, "r", encoding="utf-8") as fh, parsing(args.corpus):
+        names = [(str(a), str(b)) for a, b in json.load(fh)["pairs"]]
     base = os.path.dirname(os.path.abspath(args.corpus))
     tables: dict[CurveSpec, store.TraceTable] = {}   # each distinct curve counted once
 
@@ -231,8 +229,7 @@ def _cmd_scan(args, config: RunConfig, out) -> int:
             tables[curve] = _table(curve, args.pmax, config)
         return tables[curve]
 
-    pairs = [(table_of(file_a), table_of(file_b))
-             for file_a, file_b in corpus["pairs"]]
+    pairs = [(table_of(file_a), table_of(file_b)) for file_a, file_b in names]
     records = separation.separation_scan(pairs, args.pmax)
     out.write(separation.scan_csv(records))
     searched = [r for r in records if not r.note.startswith("skipped")]

@@ -27,7 +27,7 @@ from typing import Final, Iterable
 import numpy as np
 
 from .errors import (BadReduction, CeilingExceeded, NonUnitaryRoots,
-                     UnsupportedModel, ValidationError)
+                     UnsupportedModel, ValidationError, parsing)
 
 DEFAULT_FP_CEILING: Final = 2_000_000
 DEFAULT_FP2_CEILING: Final = 10_000          # bound on the field size p^2
@@ -91,6 +91,7 @@ class CurveSpec:
         return cls(label=label, genus=2, f=_trim(f), h=_trim(h), conductor=conductor)
 
     @classmethod
+    @parsing()
     def from_json(cls, doc) -> "CurveSpec":
         label = str(doc["label"])
         genus = int(doc["genus"])
@@ -109,7 +110,7 @@ class CurveSpec:
 
     @classmethod
     def from_path(cls, path) -> "CurveSpec":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, parsing(path):
             return cls.from_json(json.load(fh))
 
     def to_json(self) -> dict:

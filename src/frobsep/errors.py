@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class FrobsepError(Exception):
     """Base class for all package errors."""
@@ -41,6 +43,18 @@ class ValidationError(FrobsepError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+@contextmanager
+def parsing(source=None):
+    """Raise a KeyError, TypeError, ValueError (json.JSONDecodeError is one)
+    or ValidationError met while parsing a document as a ValidationError,
+    prefixed with `source` if given."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValidationError(f"{source}: {message}" if source else message) from exc
 
 
 class ConflictError(FrobsepError):

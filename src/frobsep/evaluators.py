@@ -20,28 +20,24 @@ from .store import TraceTable
 
 
 class CharacterEvaluator(Protocol):
+    """`good` raises `IncompleteTable` for a prime a table lacks, never calls it bad."""
+
     delta: int
-    label: str
 
     def good(self, primes: np.ndarray) -> np.ndarray: ...
     def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray: ...
-    def missing_prime(self, x: float) -> int | None: ...
 
 
 class TrivialEvaluator:
     """chi = 1 over all rational primes; the pure Chebyshev-style comparison."""
 
     delta = 1
-    label = "trivial"
 
     def good(self, primes: np.ndarray) -> np.ndarray:
         return np.ones(len(primes), dtype=bool)
 
     def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray:
         return np.ones(len(primes))
-
-    def missing_prime(self, x: float) -> int | None:
-        return None
 
 
 class TautologicalEvaluator:
@@ -50,10 +46,9 @@ class TautologicalEvaluator:
     def __init__(self, table: TraceTable):
         self.table = table
         self.delta = 0
-        self.label = f"V[{table.curve_label}]"
 
     def good(self, primes: np.ndarray) -> np.ndarray:
-        return np.isin(primes, self.table.p[self.table.good])
+        return self.table.good[self.table.rows(primes)]
 
     def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray:
         if r == 1:
@@ -74,9 +69,6 @@ class TautologicalEvaluator:
         return np.array([unitarized_eigenangles(row, p) for row, p
                          in zip(lpoly[rows], primes.tolist())]).reshape(-1, 2)
 
-    def missing_prime(self, x: float) -> int | None:
-        return self.table.missing_prime(int(x))
-
 
 class PsiPairEvaluator:
     """The separator character psi of a pair of curves."""
@@ -87,7 +79,6 @@ class PsiPairEvaluator:
         self.g = table_a.genus
         self.g2 = table_b.genus
         self.delta = symplectic.psi_character(self.g, self.g2).trivial_coefficient
-        self.label = f"psi[{table_a.curve_label},{table_b.curve_label}]"
 
     def good(self, primes: np.ndarray) -> np.ndarray:
         return self.a.good(primes) & self.b.good(primes)
@@ -96,9 +87,6 @@ class PsiPairEvaluator:
         t = self.a.values(primes, r)
         t2 = self.b.values(primes, r)
         return t * t2 * (t - 2 * self.g) * (t2 + 2 * self.g2)
-
-    def missing_prime(self, x: float) -> int | None:
-        return self.a.missing_prime(x) or self.b.missing_prime(x)
 
 
 class VirtualCharEvaluator:
@@ -115,7 +103,6 @@ class VirtualCharEvaluator:
                 raise ValueError(
                     f"character rank {g} does not match genus of {t.curve_label}")
         self.delta = chi.trivial_coefficient
-        self.label = "chi[" + ",".join(t.curve_label for t in self.tables) + "]"
         self._taut = [TautologicalEvaluator(t) for t in self.tables]
 
     def good(self, primes: np.ndarray) -> np.ndarray:
@@ -124,6 +111,3 @@ class VirtualCharEvaluator:
     def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray:
         return self.chi.values(*(symplectic.fold_angle(r * taut.angles(primes))
                                  for taut in self._taut))
-
-    def missing_prime(self, x: float) -> int | None:
-        return next(filter(None, (t.missing_prime(x) for t in self._taut)), None)

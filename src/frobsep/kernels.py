@@ -17,7 +17,7 @@ from typing import Final
 
 import numpy as np
 
-from .errors import DomainError, IncompleteTable
+from .errors import DomainError
 from .evaluators import CharacterEvaluator
 from .store import sieve_primes
 
@@ -143,9 +143,6 @@ def weighted_sum(evaluator: CharacterEvaluator,
     bound is directly testable.  Bad primes are skipped and counted.
     """
     x = params.x
-    missing = evaluator.missing_prime(x)
-    if missing is not None:
-        raise IncompleteTable(f"table lacks prime {missing} <= x={x}")
     primes = sieve_primes(int(x))
     terms = _terms(evaluator, primes, 1, x, params.a)
     total = math.fsum(terms.tolist())
@@ -169,9 +166,6 @@ def prime_power_tail(evaluator: CharacterEvaluator, x: float,
     """Sum of all r >= 2 terms with Nm p^r <= x, and its /(sqrt(x) log^3 x) ratio."""
     if params is None:
         params = KernelParams(x=max(x, 2.0))
-    missing = evaluator.missing_prime(math.isqrt(int(x)))
-    if missing is not None:
-        raise IncompleteTable(f"table lacks prime {missing} <= sqrt(x)")
     terms = []
     for r in range(2, int(x).bit_length()):      # every r with 2^r <= x
         primes = sieve_primes(int(x ** (1.0 / r)) + 1)
@@ -195,9 +189,6 @@ def li(x: float) -> float:
 
 def chebyshev_sum(evaluator: CharacterEvaluator, x: float) -> tuple[float, float]:
     """Unweighted character sum over good primes <= x next to delta * Li(x)."""
-    missing = evaluator.missing_prime(x)
-    if missing is not None:
-        raise IncompleteTable(f"table lacks prime {missing} <= x={x}")
     primes = sieve_primes(int(x))
     total = math.fsum(evaluator.values(primes[evaluator.good(primes)], 1).tolist())
     return total, evaluator.delta * li(x)

@@ -28,7 +28,6 @@ class SeparationRecord:
     conductor_a: int
     conductor_b: int
     least_prime: int | None
-    search_bound: int
     log_bound: float
     ratio: float | None
     note: str = ""
@@ -82,17 +81,17 @@ def least_separating_prime(table_a: TraceTable, table_b: TraceTable,
     hits = np.flatnonzero(
         table_a.good[rows_a] & table_b.good[rows_b]
         & (np.sign(table_a.a_p[rows_a]) * np.sign(table_b.a_p[rows_b]) < 0))
-    return _record(table_a, table_b, p_max,
+    return _record(table_a, table_b,
                    found=int(primes[hits[0]]) if hits.size else None)
 
 
-def _record(table_a: TraceTable, table_b: TraceTable, p_max: int, *,
+def _record(table_a: TraceTable, table_b: TraceTable, *,
             found: int | None = None, note: str = "") -> SeparationRecord:
     bound = log_bound(table_a.conductor, table_b.conductor)
     return SeparationRecord(
         label_a=table_a.curve_label, label_b=table_b.curve_label,
         conductor_a=table_a.conductor, conductor_b=table_b.conductor,
-        least_prime=found, search_bound=p_max, log_bound=bound,
+        least_prime=found, log_bound=bound,
         ratio=None if found is None else found / bound, note=note)
 
 
@@ -103,13 +102,12 @@ def separation_scan(pairs, p_max: int) -> list[SeparationRecord]:
     records = []
     for table_a, table_b in pairs:
         if table_a.curve_label == table_b.curve_label:
-            records.append(_record(table_a, table_b, p_max,
-                                   note="skipped: identical labels"))
+            records.append(_record(table_a, table_b, note="skipped: identical labels"))
             continue
         try:
             records.append(least_separating_prime(table_a, table_b, p_max))
         except FrobsepError as exc:  # data errors are collected, scan continues
-            records.append(_record(table_a, table_b, p_max, note=f"error: {exc}"))
+            records.append(_record(table_a, table_b, note=f"error: {exc}"))
     return records
 
 

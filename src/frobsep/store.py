@@ -109,12 +109,6 @@ class TraceTable:
                 f"{self.curve_label}: table lacks prime {absent[0]}")
         return np.searchsorted(self.p, primes)
 
-    def missing_prime(self, p_max: int) -> int | None:
-        """First prime <= p_max without a row, or None when fully covered."""
-        primes = sieve_primes(p_max)
-        absent = primes[~np.isin(primes, self.p)]
-        return int(absent[0]) if absent.size else None
-
 
 def _first_invalid_row(g, p, good, a_p, lpoly, count=None) -> tuple[int, str] | None:
     """(row, message) of the first row that breaks an invariant, else None.
@@ -159,10 +153,14 @@ def compute_range(curve: CurveSpec, p_max: int, *,
 
     Results are merged in ascending-prime order whatever the worker count,
     so repeated runs export byte-identical files.  `workers` 0 means one per
-    CPU; more than the CPU count are never started.
+    CPU; more than the CPU count are never started.  Only genus 2 stores
+    Euler factors, so `with_lpoly` is ignored for genus 1.
     """
+    if p_max < 0:
+        raise ValueError(f"p_max must be >= 0, got {p_max}")
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
+    with_lpoly = with_lpoly and curve.genus == 2
     workers = min(workers or os.cpu_count() or 1, os.cpu_count() or 1)
     if p_max > ceiling:
         raise CeilingExceeded(f"p_max={p_max} above counting ceiling {ceiling}")
@@ -182,7 +180,6 @@ def compute_range(curve: CurveSpec, p_max: int, *,
 
 def _compute_block(curve, primes, with_lpoly, ceiling, fp2_ceiling,
                    workers) -> TraceTable:
-    with_lpoly = with_lpoly and curve.genus == 2
     # one interleaved chunk per worker: chunks cost alike, where contiguous
     # ones grow with p, and each pays the counting kernel's fixed cost once
     k = workers if len(primes) >= _PARALLEL_THRESHOLD else 1
@@ -410,7 +407,7 @@ def _cached_bucket(curve, lo, primes, with_lpoly, ceiling, fp2_ceiling,
             raise ConflictError(
                 f"cache file {path} was built for a different declaration of "
                 f"{curve.label!r}")
-        lacks_lpoly = with_lpoly and curve.genus == 2 and (
+        lacks_lpoly = with_lpoly and (
             cached.lpoly is None or not cached.lpoly[cached.good, 0].all())
         if np.array_equal(cached.p, primes) and not lacks_lpoly:
             return cached

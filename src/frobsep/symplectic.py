@@ -21,7 +21,7 @@ from typing import Final, Iterable, Mapping
 import numpy as np
 
 from . import laurent
-from .errors import NonIntegral, OrderTooSmall, UnsupportedModel
+from .errors import NonIntegral, OrderTooSmall, UnsupportedModel, parsing
 
 MIN_QUADRATURE_ORDER: Final = 8
 DEFAULT_QUADRATURE_ORDER: Final = 64
@@ -268,9 +268,6 @@ class VirtualCharacter:
     gs: tuple[int, ...]
     terms: Mapping[TermKey, int]
     metadata: AnalyticMetadata | None = field(default=None, compare=False)
-    # set when the character is a box product of per-factor combinations
-    box_factors: tuple[Mapping[Partition, int], ...] | None = field(
-        default=None, compare=False)
 
     def __post_init__(self):
         if len(self.gs) not in (1, 2):
@@ -338,6 +335,7 @@ class VirtualCharacter:
         return doc
 
     @classmethod
+    @parsing()
     def from_json(cls, doc: Mapping) -> "VirtualCharacter":
         g = int(doc["g"])
         g2 = doc.get("g2")
@@ -351,7 +349,7 @@ class VirtualCharacter:
 
     @classmethod
     def from_path(cls, path) -> "VirtualCharacter":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, parsing(path):
             return cls.from_json(json.load(fh))
 
 
@@ -383,12 +381,7 @@ def box_product(chi1: VirtualCharacter, chi2: VirtualCharacter) -> VirtualCharac
     for (p1,), c1 in chi1.terms.items():
         for (p2,), c2 in chi2.terms.items():
             terms[(p1, p2)] = terms.get((p1, p2), 0) + c1 * c2
-    out = VirtualCharacter((chi1.gs[0], chi2.gs[0]), terms)
-    object.__setattr__(out, "box_factors", (
-        {p: c for (p,), c in chi1.terms.items()},
-        {p: c for (p,), c in chi2.terms.items()},
-    ))
-    return out
+    return VirtualCharacter((chi1.gs[0], chi2.gs[0]), terms)
 
 
 # ---------------------------------------------------------------------------

@@ -439,17 +439,20 @@ def _factor_range(terms, g: int) -> tuple[float, float]:
             _max_on_group(lambda th: _virtual_values(terms, g, th), g))
 
 
-def character_max(chi, grid: int = T_SEARCH_GRID) -> float:
+def character_max(chi, factors=None, grid: int = T_SEARCH_GRID) -> float:
     """t_chi by search: the maximum of the character over the group.
 
-    A product-group character must be a box product; its maximum is the
-    largest product of the two factors' range endpoints.
+    A product-group character must be the box product of `factors`, two
+    {partition: coeff} maps; its maximum is the largest product of the two
+    factors' range endpoints.
     """
     if chi.is_product_group:
-        if chi.box_factors is None:
-            raise ValueError("product-group search needs a box product")
-        lo1, hi1 = _factor_range(chi.box_factors[0], chi.gs[0])
-        lo2, hi2 = _factor_range(chi.box_factors[1], chi.gs[1])
+        product = {(p1, p2): c1 * c2 for p1, c1 in factors[0].items()
+                   for p2, c2 in factors[1].items()}
+        if type(chi)(chi.gs, product) != chi:
+            raise ValueError("product-group search needs chi's box factors")
+        lo1, hi1 = _factor_range(factors[0], chi.gs[0])
+        lo2, hi2 = _factor_range(factors[1], chi.gs[1])
         return max(a * b for a in (lo1, hi1) for b in (lo2, hi2))
     terms = {parts: c for (parts,), c in chi.terms.items()}
     return _max_on_group(lambda th: _virtual_values(terms, chi.gs[0], th),

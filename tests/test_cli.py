@@ -206,6 +206,57 @@ class TestConfig:
         assert code == 2
 
 
+class TestMalformedInput:
+    """Malformed input files and out-of-range arguments end in one `error:`
+    line and a typed exit code: 2 for a bad file, naming it, 1 for a bad
+    argument.  An exception escaping `main` would fail the test; at the
+    command line it would print a traceback."""
+
+    CURVE = {"label": "11a1", "genus": 1, "conductor": 11,
+             "model": {"a_invariants": [0, -1, 1, -10, -20]}}
+    FILES = {
+        "curve.json": json.dumps(CURVE),
+        "no_genus.json": '{"label": "x"}',
+        "not_json.json": "not json",
+        "short_ainv.json": json.dumps({**CURVE, "model": {"a_invariants": [0, 0]}}),
+        "genus_word.json": json.dumps({**CURVE, "genus": "two"}),
+        "chi_no_terms.json": '{"g": 1}',
+        "chi_no_coeff.json": '{"g": 1, "terms": [{"lambda": [1]}]}',
+        "corpus_no_pairs.json": '{"curves": []}',
+    }
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["count", "no_genus.json", "--pmax", "10"], 2,
+         "no_genus.json: missing field 'genus'"),
+        (["count", "not_json.json", "--pmax", "10"], 2, "not_json.json: Expecting value"),
+        (["count", "short_ainv.json", "--pmax", "10"], 2, "short_ainv.json: "),
+        (["count", "genus_word.json", "--pmax", "10"], 2, "genus_word.json: "),
+        (["delta", "--g", "1", "--character", "chi_no_terms.json"], 2,
+         "chi_no_terms.json: missing field 'terms'"),
+        (["sum", "curve.json", "--x", "100", "--chi", "chi_no_coeff.json"], 2,
+         "chi_no_coeff.json: missing field 'coeff'"),
+        (["scan", "corpus_no_pairs.json", "--pmax", "10"], 2,
+         "corpus_no_pairs.json: missing field 'pairs'"),
+        (["count", "curve.json", "--pmax", "-5"], 1, "p_max must be >= 0, got -5"),
+        (["separate", "curve.json", "curve.json", "--pmax", "-1"], 1,
+         "p_max must be >= 0, got -1"),
+        (["sum", "curve.json", "curve.json", "--x", "1e400"], 1,
+         "every x must be finite and >= 2"),
+    ], ids=["curve-missing-field", "curve-not-json", "curve-short-a-invariants",
+            "curve-genus-not-int", "character-missing-terms", "character-missing-coeff",
+            "corpus-missing-pairs", "count-negative-pmax", "separate-negative-pmax",
+            "sum-infinite-x"])
+    def test_error_line_not_traceback(self, argv, code, message, tmp_path, capsys):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = [str(tmp_path / arg) if arg in self.FILES else arg for arg in argv]
+        assert run_cli(argv) == (code, "")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        prefix = f"error: {tmp_path / message}" if code == 2 else f"error: {message}"
+        assert err.splitlines()[-1].startswith(prefix)
+
+
 class TestRuntimeImports:
     """sum and delta run without scipy.optimize and sympy."""
 

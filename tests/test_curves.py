@@ -355,6 +355,17 @@ class TestCurveSpec:
     def test_known_discriminant(self, c11):
         assert c11.discriminant == -161051   # -11^5
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"label": "x"}, "missing field 'genus'"),
+        ({"label": "x", "genus": "two", "conductor": 11, "model": {"f": [1]}}, "'two'"),
+        ({"label": "x", "genus": 1, "conductor": 11, "model": {"a_invariants": [0]}},
+         "not enough values"),
+        ([], "list indices"),
+    ], ids=["missing-field", "genus-not-int", "short-a-invariants", "not-an-object"])
+    def test_malformed_json_is_validation_error(self, doc, message):
+        with pytest.raises(ValidationError, match=message):
+            CurveSpec.from_json(doc)
+
     # genus-2 discriminants as computed through sympy, frozen as literals
     FROZEN_GENUS2 = [
         ("g2a", (1, 0, 0, 0, 0, 1), (), 3276800000),

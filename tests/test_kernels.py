@@ -217,6 +217,34 @@ class TestEvaluators:
             VirtualCharEvaluator(sy.tautological_char(2), t11)
 
 
+class TestCoverage:
+    """A prime the table lacks raises `IncompleteTable` naming the curve; it
+    is never read as a bad prime.  t11 covers the primes up to 3000."""
+
+    def test_lambda_term_at_absent_prime(self, t11):
+        with pytest.raises(IncompleteTable, match="^11a1: table lacks prime 3001$"):
+            lambda_term(TautologicalEvaluator(t11), 3001, 1, 5000.0,
+                        KernelParams(x=5000.0))
+
+    @pytest.mark.parametrize("make", [
+        lambda t11, t37: TautologicalEvaluator(t11),
+        lambda t11, t37: PsiPairEvaluator(t11, t37),
+        lambda t11, t37: VirtualCharEvaluator(sy.tautological_char(1), t11),
+    ], ids=["tautological", "psi", "virtual"])
+    def test_good_raises_at_absent_prime(self, make, t11, t37):
+        with pytest.raises(IncompleteTable, match="^11a1: table lacks prime 3001$"):
+            make(t11, t37).good(np.array([2, 11, 3001]))
+
+    @pytest.mark.parametrize("run", [
+        lambda ev: weighted_sum(ev, KernelParams(x=1e4)),
+        lambda ev: prime_power_tail(ev, 1e7),
+        lambda ev: chebyshev_sum(ev, 1e4),
+    ], ids=["weighted_sum", "prime_power_tail", "chebyshev_sum"])
+    def test_sums_name_the_curve(self, run, t11):
+        with pytest.raises(IncompleteTable, match="^11a1: table lacks prime 3001$"):
+            run(TautologicalEvaluator(t11))
+
+
 def sym2_by_hand(angles):
     # sp_(2) on USp(2) is U_2(cos theta) = 4 cos^2 theta - 1
     return 4.0 * math.cos(angles[0]) ** 2 - 1.0

@@ -55,6 +55,13 @@ class TestComputeRange:
         assert np.all(table.lpoly[table.good, 0] == 1)
         assert not table.lpoly[~table.good].any()
 
+    def test_lpoly_ignored_for_genus1(self, c11):
+        assert compute_range(c11, 500, with_lpoly=True) == compute_range(c11, 500)
+
+    def test_negative_pmax_rejected(self, c11):
+        with pytest.raises(ValueError, match="p_max must be >= 0"):
+            compute_range(c11, -5)
+
     def test_bad_prime_set_report(self, g2b):
         by_n, by_disc = bad_prime_sets(g2b, 30)
         assert by_n == [2, 13]

@@ -6,7 +6,8 @@ import pytest
 import oracles
 from frobsep import laurent
 from frobsep import symplectic as sy
-from frobsep.errors import NonIntegral, OrderTooSmall, UnsupportedModel
+from frobsep.errors import (NonIntegral, OrderTooSmall, UnsupportedModel,
+                            ValidationError)
 
 
 def all_weights(g, max_degree=3):
@@ -182,8 +183,9 @@ class TestPsiCharacter:
                 d_chi=d, delta=1, w_chi=2, t_chi=float(d), gamma_chi_bound=d,
                 n_chi_bound=d, b_bound=(None, d))
             # closed form against the grid-and-ascent search
+            factors = (sy._psi_factor_terms(g, -1), sy._psi_factor_terms(g2, +1))
             assert psi.metadata.t_chi == pytest.approx(
-                oracles.character_max(psi), abs=1e-6)
+                oracles.character_max(psi, factors), abs=1e-6)
 
     def test_evaluation_matches_trace_formula(self):
         psi = sy.psi_character(1, 2)
@@ -262,6 +264,11 @@ class TestVirtualCharacterType:
     def test_single_factor_json(self):
         chi = sy.tensor_square_char(2)
         assert sy.VirtualCharacter.from_json(chi.to_json()) == chi
+
+    def test_malformed_json_is_validation_error(self):
+        for doc in ({"g": 1}, {"g": 1, "terms": [{"lambda": [1]}]}, {"g": "x", "terms": []}):
+            with pytest.raises(ValidationError):
+                sy.VirtualCharacter.from_json(doc)
 
     def test_zero_coefficients_dropped(self):
         chi = sy.tautological_char(1) - sy.tautological_char(1)
