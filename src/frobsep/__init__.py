@@ -8,7 +8,7 @@ from .kernels import (KernelParams, KernelSumReport, bach_kernel,
                       prime_power_tail, weighted_sum)
 from .separation import (SeparationRecord, least_separating_prime, psi_value,
                          separation_scan, sign_criterion_equivalence)
-from .store import TraceTable, compute_range, export_csv, import_csv, merge
+from .store import TraceTable, compute_range, export_csv, import_csv
 from .symplectic import (AnalyticMetadata, DominantWeight, TorusPoint,
                          VirtualCharacter, adams2, char_value, dimension,
                          fs_indicator, inner_product, psi_character,
@@ -23,7 +23,7 @@ __all__ = [
     "char_value", "chebyshev_sum", "compute_range", "count_points",
     "count_points_Fp2", "count_points_many", "dimension", "euler_factor",
     "export_csv", "fs_indicator", "import_csv", "inner_product",
-    "lambda_term", "least_separating_prime", "merge", "prime_power_tail",
+    "lambda_term", "least_separating_prime", "prime_power_tail",
     "psi_character", "psi_value", "separation_scan",
     "sign_criterion_equivalence", "trivial_multiplicity",
     "unitarized_eigenangles", "weighted_sum",

@@ -43,9 +43,10 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.kernel_a <= 0.25:
             raise ValueError(f"kernel a={self.kernel_a} outside (0, 1/4]")
-        if self.quadrature_order < symplectic.MIN_QUADRATURE_ORDER:
-            raise ValueError(f"quadrature order must be >= "
-                             f"{symplectic.MIN_QUADRATURE_ORDER}")
+        lo, hi = symplectic.MIN_QUADRATURE_ORDER, symplectic.MAX_QUADRATURE_ORDER
+        if not lo <= self.quadrature_order <= hi:
+            raise ValueError(
+                f"quadrature order {self.quadrature_order} outside [{lo}, {hi}]")
         if self.parallelism < 0:
             raise ValueError(f"parallelism must be >= 0, got {self.parallelism}")
 
@@ -242,6 +243,8 @@ def _cmd_kernel_check(args, config: RunConfig, out) -> int:
     ys = [float(v) for v in args.y.split(",") if v]
     if not ys:
         raise ValueError("empty --y list")
+    if not all(map(math.isfinite, [*ys, args.T])):
+        raise ValueError("every y and T must be finite")
     print("y,closed,contour,abs_err", file=out)
     for y in ys:
         closed = kernels.bach_kernel(y, config.kernel_a)

@@ -302,12 +302,8 @@ def _count_points_sweep(curve: CurveSpec, p: int, big: list[int]) -> int:
         affine += int(nsol[acc].sum())
     if curve.genus == 1:
         return affine + 1
-    c6, c5 = big[6], big[5]
-    if c6 != 0:
-        return affine + int(nsol[c6])
-    if c5 != 0:
-        return affine + 1
-    raise BadReduction(f"{curve.label}: model degenerates at infinity mod {p}")
+    c6 = big[6]     # c6 = c5 = 0 is a double root at infinity: p | disc, not good
+    return affine + (int(nsol[c6]) if c6 else 1)
 
 
 # Above this bound E or its quadratic twist has a point whose order has a
@@ -540,9 +536,7 @@ def _affine_x(X, Z, p):
 
 
 def _count_points_char2(curve: CurveSpec) -> int:
-    # good reduction at 2 occurs only for genus-1 models (2 | disc for genus 2)
-    if curve.genus != 1:
-        raise UnsupportedModel("genus-2 counting requires p > 2")
+    # genus 1 only: F = 4f + h^2 = h^2 mod 2, so every genus-2 model is bad at 2
     count = 1
     for x in range(2):
         fx = sum(c * x ** i for i, c in enumerate(curve.f)) % 2

@@ -67,8 +67,8 @@ class KernelSumReport:
 
 def bach_kernel(y: float, a: float) -> float:
     """Smoothing kernel: 0 below y = 1, y^(-a) * log(y) at and above."""
-    if y <= 0:
-        raise DomainError(f"kernel argument y={y} must be positive")
+    if not 0 < y < math.inf:
+        raise DomainError(f"kernel argument y={y} must be positive and finite")
     if not 0.0 < a < 1.0:
         raise DomainError(f"kernel exponent a={a} outside (0, 1)")
     if y < 1.0:
@@ -85,10 +85,10 @@ def bach_kernel_contour(y: float, a: float, T: float) -> float:
     """
     from scipy.integrate import quad
 
-    if y <= 0:
-        raise DomainError(f"kernel argument y={y} must be positive")
-    if T < 1e3:
-        raise DomainError(f"truncation height T={T} below 1e3")
+    if not 0 < y < math.inf:
+        raise DomainError(f"kernel argument y={y} must be positive and finite")
+    if not 1e3 <= T < math.inf:
+        raise DomainError(f"truncation height T={T} not finite and >= 1e3")
     c = 2.0 + a
     freq = math.log(y)
 

@@ -151,7 +151,7 @@ def compute_range(curve: CurveSpec, p_max: int, *,
                   workers: int = 1) -> TraceTable:
     """Trace table for every prime <= p_max, cached in full buckets.
 
-    Results are merged in ascending-prime order whatever the worker count,
+    Buckets are joined in ascending-prime order whatever the worker count,
     so repeated runs export byte-identical files.  `workers` 0 means one per
     CPU; more than the CPU count are never started.  Only genus 2 stores
     Euler factors, so `with_lpoly` is ignored for genus 1.
@@ -175,7 +175,20 @@ def compute_range(curve: CurveSpec, p_max: int, *,
         else:
             blocks.append(_compute_block(curve, primes, with_lpoly, ceiling,
                                          fp2_ceiling, workers))
-    return functools.reduce(merge, blocks)
+    if len(blocks) == 1:
+        return blocks[0]
+    # one check of the joined columns; a block without Euler factors adds
+    # all-zero lpoly rows, and an all-zero lpoly column is stored as None
+    width = 2 * curve.genus + 1
+    lpoly = np.concatenate([np.zeros((len(b.p), width), dtype=np.int64)
+                            if b.lpoly is None else b.lpoly for b in blocks])
+    imported = any(b.provenance == "imported" for b in blocks)
+    return TraceTable(curve_label=curve.label, conductor=curve.conductor,
+                      genus=curve.genus,
+                      p=np.concatenate([b.p for b in blocks]),
+                      a_p=np.concatenate([b.a_p for b in blocks]),
+                      good=np.concatenate([b.good for b in blocks]), lpoly=lpoly,
+                      provenance="imported" if imported else "computed")
 
 
 def _compute_block(curve, primes, with_lpoly, ceiling, fp2_ceiling,
@@ -348,36 +361,6 @@ def import_csv(path: str | os.PathLike, model: str | None = None) -> TraceTable:
         return from_csv_text(fh.read(), model)
 
 
-def merge(t1: TraceTable, t2: TraceTable) -> TraceTable:
-    """Union of primes; any disagreement on shared primes is a hard error."""
-    if (t1.curve_label, t1.conductor, t1.genus) != (t2.curve_label, t2.conductor, t2.genus):
-        raise ValidationError(
-            f"cannot merge tables for {t1.curve_label!r} and {t2.curve_label!r}")
-    width = 0 if t1.lpoly is None and t2.lpoly is None else 2 * t1.genus + 1
-    p, good, a_p = (np.concatenate([getattr(t1, c), getattr(t2, c)])
-                    for c in ("p", "good", "a_p"))
-    lpoly = np.concatenate([np.zeros((len(t.p), width), dtype=np.int64)
-                            if t.lpoly is None else t.lpoly for t in (t1, t2)])
-    # by prime, a row with a stored Euler factor ahead of one without
-    order = np.lexsort((~lpoly.any(axis=1), p))
-    p, good, a_p, lpoly = p[order], good[order], a_p[order], lpoly[order]
-    dup = np.flatnonzero(p[1:] == p[:-1])
-    clash = dup[(good[dup] != good[dup + 1]) | (a_p[dup] != a_p[dup + 1])]
-    if clash.size:
-        i = clash[0]
-        raise ConflictError(f"{t1.curve_label}: tables disagree at p={p[i]} "
-                            f"({a_p[i]} vs {a_p[i + 1]})")
-    clash = dup[lpoly[dup + 1].any(axis=1) & (lpoly[dup] != lpoly[dup + 1]).any(axis=1)]
-    if clash.size:
-        raise ConflictError(
-            f"{t1.curve_label}: L-polynomials disagree at p={p[clash[0]]}")
-    keep = np.diff(p, prepend=0) != 0          # the first row of each prime
-    provenance = t1.provenance if t1.provenance == t2.provenance else "imported"
-    return TraceTable(curve_label=t1.curve_label, conductor=t1.conductor,
-                      genus=t1.genus, p=p[keep], a_p=a_p[keep], good=good[keep],
-                      lpoly=lpoly[keep] if width else None, provenance=provenance)
-
-
 # ---------------------------------------------------------------------------
 # bucket cache
 
@@ -395,18 +378,19 @@ def _cached_bucket(curve, lo, primes, with_lpoly, ceiling, fp2_ceiling,
                    cache_dir, workers) -> TraceTable:
     """One full bucket from the cache, counted and rewritten when stale.
 
-    A file for another declaration of the label (conductor, genus or model)
-    is a conflict.  A file without a model fingerprint, or whose primes are
-    not exactly those of the bucket, is stale.
+    A file for another label, conductor, genus or model is a conflict.  A
+    file without a model fingerprint, or whose primes are not exactly those
+    of the bucket, is stale.
     """
     path = _bucket_path(cache_dir, curve.label, lo)
     model = _model_fingerprint(curve)
     if path.exists():
         cached = import_csv(path, model)
-        if (cached.conductor, cached.genus) != (curve.conductor, curve.genus):
-            raise ConflictError(
-                f"cache file {path} was built for a different declaration of "
-                f"{curve.label!r}")
+        declared = (curve.label, curve.conductor, curve.genus)
+        if (cached.curve_label, cached.conductor, cached.genus) != declared:
+            raise ConflictError(f"cache file {path} holds label, conductor, genus "
+                                f"{cached.curve_label, cached.conductor, cached.genus}"
+                                f", not {declared}")
         lacks_lpoly = with_lpoly and (
             cached.lpoly is None or not cached.lpoly[cached.good, 0].all())
         if np.array_equal(cached.p, primes) and not lacks_lpoly:

@@ -24,6 +24,7 @@ from . import laurent
 from .errors import NonIntegral, OrderTooSmall, UnsupportedModel, parsing
 
 MIN_QUADRATURE_ORDER: Final = 8
+MAX_QUADRATURE_ORDER: Final = 128     # rank 3 holds order**3 nodes: ~0.6 GB at 128
 DEFAULT_QUADRATURE_ORDER: Final = 64
 MAX_TENSOR_RANK: Final = 3            # order**g quadrature nodes
 INTEGRALITY_TOL: Final = 1e-3

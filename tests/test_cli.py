@@ -196,7 +196,12 @@ class TestConfig:
                 (["--parallelism", "-3", "count", str(curve_json["11a1"]), "--pmax", "50"],
                  "error: parallelism must be >= 0, got -3"),
                 (["--kernel-a", "0.7", "delta", "--g", "1", "--g2", "1"],
-                 "error: kernel a=0.7 outside (0, 1/4]")):
+                 "error: kernel a=0.7 outside (0, 1/4]"),
+                # rejected before any quadrature grid is built
+                (["--quadrature-order", "100000", "delta", "--g", "1", "--g2", "1"],
+                 "error: quadrature order 100000 outside [8, 128]"),
+                (["--quadrature-order", "7", "delta", "--g", "1", "--g2", "1"],
+                 "error: quadrature order 7 outside [8, 128]")):
             assert run_cli(argv) == (1, "")
             err = capsys.readouterr().err
             assert err.startswith("usage:") and message in err.splitlines()
@@ -242,10 +247,15 @@ class TestMalformedInput:
          "p_max must be >= 0, got -1"),
         (["sum", "curve.json", "curve.json", "--x", "1e400"], 1,
          "every x must be finite and >= 2"),
+        (["kernel-check", "--y", "nan"], 1, "every y and T must be finite"),
+        (["kernel-check", "--y", "2,inf"], 1, "every y and T must be finite"),
+        (["kernel-check", "--y", "2", "--T", "nan"], 1, "every y and T must be finite"),
+        (["kernel-check", "--y", "2", "--T", "inf"], 1, "every y and T must be finite"),
     ], ids=["curve-missing-field", "curve-not-json", "curve-short-a-invariants",
             "curve-genus-not-int", "character-missing-terms", "character-missing-coeff",
             "corpus-missing-pairs", "count-negative-pmax", "separate-negative-pmax",
-            "sum-infinite-x"])
+            "sum-infinite-x", "kernel-check-nan-y", "kernel-check-infinite-y",
+            "kernel-check-nan-T", "kernel-check-infinite-T"])
     def test_error_line_not_traceback(self, argv, code, message, tmp_path, capsys):
         for name, text in self.FILES.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
@@ -368,3 +378,19 @@ class TestCorruptCache:
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[0] + " junk", *lines[1:]]) + "\n")
         assert run_cli(argv)[0] == 2
+
+    @pytest.mark.parametrize("p_max", ["99", "150"])
+    def test_bucket_for_another_label_is_conflict(self, curve_json, tmp_path,
+                                                  monkeypatch, capsys, p_max):
+        import frobsep.store as store_mod
+
+        monkeypatch.setattr(store_mod, "CACHE_BUCKET", 100)
+        argv = ["--cache-dir", str(tmp_path), "separate", str(curve_json["11a1"]),
+                str(curve_json["37a1"]), "--pmax", p_max]
+        assert run_cli(argv)[0] == 0
+        path = tmp_path / "11a1.b0000.csv"
+        path.write_text(path.read_text().replace(" label=11a1 ", " label=other ", 1))
+        capsys.readouterr()
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cache file {path} ") and "label" in err

@@ -34,6 +34,9 @@ class TestBachKernel:
             bach_kernel(0.0, 0.25)
         with pytest.raises(DomainError):
             bach_kernel(2.0, 1.5)
+        for y in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                bach_kernel(y, 0.25)
 
     def test_continuity_at_one(self):
         assert bach_kernel(1.0 + 1e-9, 0.25) == pytest.approx(0.0, abs=1e-8)
@@ -61,6 +64,12 @@ class TestContour:
     def test_low_truncation_rejected(self):
         with pytest.raises(DomainError):
             bach_kernel_contour(2.0, 0.25, 100.0)
+
+    @pytest.mark.parametrize("y, T", [(2.0, math.nan), (2.0, math.inf),
+                                      (math.nan, 1e5), (math.inf, 1e5)])
+    def test_non_finite_rejected(self, y, T):
+        with pytest.raises(DomainError, match="finite"):
+            bach_kernel_contour(y, 0.25, T)
 
 
 class TestLambdaTerm:

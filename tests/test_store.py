@@ -1,12 +1,13 @@
 import math
 import os
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobsep import CurveSpec, compute_range, export_csv, import_csv, merge
+from frobsep import CurveSpec, compute_range, export_csv, import_csv
 from frobsep import store
 from frobsep.errors import (CeilingExceeded, ConflictError, SchemaError,
                             ValidationError)
@@ -181,43 +182,34 @@ class TestCsvRoundTrip:
             from_csv_text(text)
 
 
-class TestMerge:
-    def test_disjoint_concatenation(self, c11):
-        low = compute_range(c11, 50)
-        full = compute_range(c11, 200)
-        high = rows_of(full, full.p > 50)
-        merged = merge(low, high)
-        assert merged == compute_range(c11, 200)
+class TestJoin:
+    """Buckets are joined in ascending order into the table one count gives."""
 
-    def test_idempotent(self, t11):
-        assert merge(t11, t11) == t11
+    def test_buckets_equal_one_count(self, c11, tmp_path, monkeypatch):
+        whole = compute_range(c11, 250)
+        monkeypatch.setattr(store, "CACHE_BUCKET", 100)
+        assert compute_range(c11, 250) == whole
+        assert compute_range(c11, 250, cache_dir=tmp_path) == whole    # counted
+        assert compute_range(c11, 250, cache_dir=tmp_path) == whole    # read back
+        path = tmp_path / "11a1.b0000.csv"
+        path.write_text(path.read_text().replace("provenance=computed",
+                                                 "provenance=imported", 1))
+        assert compute_range(c11, 250, cache_dir=tmp_path) == replace(
+            whole, provenance="imported")
 
-    def test_commutative(self, c11):
-        a = compute_range(c11, 100)
-        b = compute_range(c11, 300)
-        assert merge(a, b) == merge(b, a)
-
-    def test_associative(self, c11):
-        full = compute_range(c11, 300)
-        a, b, c = rows_of(full, slice(10)), rows_of(full, slice(5, 20)), \
-            rows_of(full, slice(15, None))
-        assert merge(merge(a, b), c) == merge(a, merge(b, c)) == full
-
-    def test_conflict_raises(self, t11):
-        other = TraceTable(curve_label=t11.curve_label, conductor=t11.conductor,
-                           genus=t11.genus, p=[3], a_p=[1], good=[True])
-        with pytest.raises(ConflictError):
-            merge(t11, other)
-
-    def test_label_mismatch_rejected(self, t11, t37):
-        with pytest.raises(ValidationError):
-            merge(t11, t37)
-
-    def test_lpoly_enrichment(self, g2b):
-        plain = compute_range(g2b, 30)
-        rich = compute_range(g2b, 30, with_lpoly=True)
-        merged = merge(plain, rich)
-        assert merged == rich
+    def test_cached_lpoly_bucket_between_plain_ones(self, g2b, tmp_path, monkeypatch):
+        ceilings = {"fp2_ceiling": 200 ** 2}
+        rich = compute_range(g2b, 199, with_lpoly=True, **ceilings)
+        plain = compute_range(g2b, 250)
+        monkeypatch.setattr(store, "CACHE_BUCKET", 100)
+        compute_range(g2b, 199, with_lpoly=True, cache_dir=tmp_path, **ceilings)
+        (tmp_path / "g2b.b0000.csv").unlink()     # recounted without Euler factors
+        lpoly = np.zeros((len(plain.p), 5), dtype=np.int64)
+        lpoly[(plain.p > 100) & (plain.p < 200)] = rich.lpoly[rich.p > 100]
+        assert compute_range(g2b, 250, cache_dir=tmp_path) == replace(plain, lpoly=lpoly)
+        # a bucket cached without Euler factors is counted again for them
+        assert compute_range(g2b, 99, with_lpoly=True, cache_dir=tmp_path) == \
+            rows_of(rich, rich.p < 100)
 
 
 class TestCache:
@@ -257,6 +249,16 @@ class TestCache:
     def _rewrite_bucket(path, edit):
         lines = path.read_text().splitlines()
         path.write_text("\n".join(edit(lines)) + "\n")
+
+    @pytest.mark.parametrize("p_max", [99, 150])
+    def test_bucket_for_another_label_rejected(self, c11, tmp_path, monkeypatch,
+                                               p_max):
+        monkeypatch.setattr(store, "CACHE_BUCKET", 100)
+        compute_range(c11, 99, cache_dir=tmp_path)
+        self._rewrite_bucket(tmp_path / "11a1.b0000.csv", lambda lines: [
+            lines[0].replace(" label=11a1 ", " label=other "), *lines[1:]])
+        with pytest.raises(ConflictError, match="label"):
+            compute_range(c11, p_max, cache_dir=tmp_path)
 
     def test_bucket_without_fingerprint_is_recounted(self, c11, tmp_path,
                                                      monkeypatch):
@@ -369,52 +371,32 @@ PRIMES = sieve_primes(400).tolist()
 
 @st.composite
 def genus1_tables(draw):
-    """A random genus-1 table within the Weil bound, plus row masks of it."""
+    """A random genus-1 table within the Weil bound."""
     primes = sorted(draw(st.lists(st.sampled_from(PRIMES), unique=True, max_size=40)))
     good = [draw(st.booleans()) for _ in primes]
     a_p = [draw(st.integers(-math.isqrt(4 * p), math.isqrt(4 * p))) if ok else 0
            for p, ok in zip(primes, good)]
-    table = TraceTable(curve_label="h", conductor=7, genus=1, p=primes, a_p=a_p,
-                       good=good, provenance=draw(st.sampled_from(["computed",
-                                                                   "imported"])))
-    masks = [np.array([draw(st.booleans()) for _ in primes], dtype=bool)
-             for _ in range(3)]
-    return table, masks
+    return TraceTable(curve_label="h", conductor=7, genus=1, p=primes, a_p=a_p,
+                      good=good, provenance=draw(st.sampled_from(["computed",
+                                                                  "imported"])))
 
 
 class TestColumnProperties:
     @settings(max_examples=60, deadline=None)
     @given(genus1_tables())
-    def test_csv_round_trip(self, drawn):
-        table, _ = drawn
+    def test_csv_round_trip(self, table):
         assert from_csv_text(to_csv_text(table)) == table
-
-    @settings(max_examples=60, deadline=None)
-    @given(genus1_tables())
-    def test_merge_laws(self, drawn):
-        table, (ma, mb, mc) = drawn
-        a, b, c = rows_of(table, ma), rows_of(table, mb), rows_of(table, mc)
-        assert merge(a, a) == a
-        assert merge(a, b) == merge(b, a) == rows_of(table, ma | mb)
-        assert merge(merge(a, b), c) == merge(a, merge(b, c))
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
-    def test_lpoly_enrichment(self, g2b, data):
+    def test_mixed_lpoly_csv_round_trip(self, g2b, data):
         rich = compute_range(g2b, 60, with_lpoly=True)
-        plain = compute_range(g2b, 60)
         n = len(rich.p)
-        mp = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        mr = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        merged = merge(rows_of(plain, mp), rows_of(rich, mr))
-        assert merged == merge(rows_of(rich, mr), rows_of(plain, mp))
-        union = rows_of(rich, mp | mr)
-        assert np.array_equal(merged.p, union.p)
-        assert np.array_equal(merged.a_p, union.a_p)
-        stored = (merged.lpoly.any(axis=1) if merged.lpoly is not None
-                  else np.zeros(len(merged.p), dtype=bool))
-        assert np.array_equal(stored, np.isin(merged.p, rich.p[mr & rich.good]))
-        assert from_csv_text(to_csv_text(merged)) == merged
+        keep, stored = (np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                                    max_size=n)), dtype=bool)
+                        for _ in range(2))
+        table = rows_of(replace(rich, lpoly=rich.lpoly * stored[:, None]), keep)
+        assert from_csv_text(to_csv_text(table)) == table
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 3), st.integers(0, 3),
