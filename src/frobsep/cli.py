@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import kernels, separation, store, symplectic
+from . import kernels, laurent, separation, store, symplectic
 from .curves import CurveSpec, DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING
 from .errors import FrobsepError, parsing
 from .evaluators import (PsiPairEvaluator, TautologicalEvaluator,
@@ -34,7 +34,6 @@ class RunConfig:
     """Settings shared by every subcommand."""
 
     cache_dir: str | None
-    quadrature_order: int = symplectic.DEFAULT_QUADRATURE_ORDER
     kernel_a: float = kernels.DEFAULT_KERNEL_A
     count_ceiling: int = DEFAULT_FP_CEILING
     fp2_ceiling: int = DEFAULT_FP2_CEILING
@@ -43,10 +42,6 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.kernel_a <= 0.25:
             raise ValueError(f"kernel a={self.kernel_a} outside (0, 1/4]")
-        lo, hi = symplectic.MIN_QUADRATURE_ORDER, symplectic.MAX_QUADRATURE_ORDER
-        if not lo <= self.quadrature_order <= hi:
-            raise ValueError(
-                f"quadrature order {self.quadrature_order} outside [{lo}, {hi}]")
         if self.parallelism < 0:
             raise ValueError(f"parallelism must be >= 0, got {self.parallelism}")
 
@@ -67,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="trace-table cache directory (falls back to "
                              f"${store.CACHE_ENV_VAR})")
-    parser.add_argument("--quadrature-order", type=int, default=64)
     parser.add_argument("--kernel-a", type=float, default=0.25)
     parser.add_argument("--count-ceiling", type=int, default=DEFAULT_FP_CEILING)
     parser.add_argument("--fp2-ceiling", type=int, default=DEFAULT_FP2_CEILING)
@@ -114,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(args) -> RunConfig:
     cache = args.cache_dir or os.environ.get(store.CACHE_ENV_VAR) or None
     return RunConfig(cache_dir=cache,
-                     quadrature_order=args.quadrature_order,
                      kernel_a=args.kernel_a,
                      count_ceiling=args.count_ceiling,
                      fp2_ceiling=args.fp2_ceiling,
@@ -156,9 +149,9 @@ def _cmd_delta(args, config: RunConfig, out) -> int:
             raise FrobsepError("delta needs --g2 (or --character)")
         chi = symplectic.psi_character(args.g, args.g2)
         name = f"psi[g={args.g},g'={args.g2}]"
-    quad = symplectic.trivial_multiplicity(chi, order=config.quadrature_order)
+    quad = symplectic.trivial_multiplicity(chi)
     print(f"delta({name}) quadrature = {quad}", file=out)
-    if max(chi.gs) <= 4:
+    if max(chi.gs) <= laurent.MAX_EXACT_RANK:
         exact = symplectic.trivial_multiplicity_exact(chi)
         print(f"delta({name}) exact = {exact}", file=out)
         if exact != quad:
@@ -245,10 +238,10 @@ def _cmd_kernel_check(args, config: RunConfig, out) -> int:
         raise ValueError("empty --y list")
     if not all(map(math.isfinite, [*ys, args.T])):
         raise ValueError("every y and T must be finite")
+    rows = [(y, kernels.bach_kernel(y, config.kernel_a),     # every check before output
+             kernels.bach_kernel_contour(y, config.kernel_a, args.T)) for y in ys]
     print("y,closed,contour,abs_err", file=out)
-    for y in ys:
-        closed = kernels.bach_kernel(y, config.kernel_a)
-        contour = kernels.bach_kernel_contour(y, config.kernel_a, args.T)
+    for y, closed, contour in rows:
         print(f"{_fmt(y)},{_fmt(closed)},{_fmt(contour)},{_fmt(abs(contour - closed))}",
               file=out)
     return EXIT_OK

@@ -73,11 +73,8 @@ class MissingEigendata(FrobsepError):
 
 
 class NonIntegral(FrobsepError):
-    """A quantity that must be an integer came out non-integral (raise quadrature order)."""
-
-
-class OrderTooSmall(FrobsepError):
-    """Quadrature order below the supported minimum."""
+    """A quantity that must be an integer came out non-integral.  The Haar
+    quadrature is exact for every character it integrates, so this is a fault."""
 
 
 # --- kernels

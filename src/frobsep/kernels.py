@@ -23,6 +23,7 @@ from .store import sieve_primes
 
 DEFAULT_KERNEL_A: Final = 0.25
 CONTOUR_WINDOW: Final = 5_000.0    # QAWO window length; silent failure above ~1e4
+MAX_CONTOUR_HEIGHT: Final = 1e7    # 2 000 windows, about 1 s per y
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,13 @@ def bach_kernel_contour(y: float, a: float, T: float) -> float:
     oscillatory quadrature runs on bounded windows because QAWO degrades
     silently on very long intervals.
     """
-    from scipy.integrate import quad
-
     if not 0 < y < math.inf:
         raise DomainError(f"kernel argument y={y} must be positive and finite")
-    if not 1e3 <= T < math.inf:
-        raise DomainError(f"truncation height T={T} not finite and >= 1e3")
+    if not 1e3 <= T <= MAX_CONTOUR_HEIGHT:
+        raise DomainError(
+            f"truncation height T={T} not finite and in [1000, {MAX_CONTOUR_HEIGHT:.0f}]")
+    from scipy.integrate import quad
+
     c = 2.0 + a
     freq = math.log(y)
 

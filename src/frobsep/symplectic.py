@@ -5,8 +5,10 @@ Weyl determinant ratio (the sine factors of numerator and denominator
 cancel), which keeps evaluation stable away from coincident eigenvalue
 cosines; coincidences are resolved by a confluent limit at rank <= 2 and
 by small deterministic jitters at higher rank.  Haar integrals run on
-tensor-product Gauss-Legendre grids against the Weyl density, normalized
-so the constant function integrates to 1 on the same grid.
+tensor grids of equispaced interior nodes against the Weyl density,
+normalized so the constant function integrates to 1 on the same grid.
+Every integrand is a cosine polynomial in each angle, and the grid is
+sized from its degree so that the rule is exact for it.
 """
 
 from __future__ import annotations
@@ -21,12 +23,9 @@ from typing import Final, Iterable, Mapping
 import numpy as np
 
 from . import laurent
-from .errors import NonIntegral, OrderTooSmall, UnsupportedModel, parsing
+from .errors import NonIntegral, UnsupportedModel, parsing
 
-MIN_QUADRATURE_ORDER: Final = 8
-MAX_QUADRATURE_ORDER: Final = 128     # rank 3 holds order**3 nodes: ~0.6 GB at 128
-DEFAULT_QUADRATURE_ORDER: Final = 64
-MAX_TENSOR_RANK: Final = 3            # order**g quadrature nodes
+MAX_TENSOR_RANK: Final = 3            # tensor grid of n**g nodes
 INTEGRALITY_TOL: Final = 1e-3
 COINCIDENCE_TOL: Final = 1e-6         # |cos t_i - cos t_j| below this is confluent
 JITTER_EPS: Final = 1e-7
@@ -188,44 +187,36 @@ def dimension(weight: DominantWeight) -> int:
 
 
 @lru_cache(maxsize=None)
-def _grid(g: int, order: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Tensor Gauss-Legendre nodes on [0, pi]^g with Weyl-density weights.
+def _grid(g: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, pi]^g and Haar weights that integrate every cosine
+    polynomial of degree <= `degree` in each angle exactly.
 
-    Returns (thetas (N, g), weight*density (N,), normalization); the
-    normalization makes the constant function integrate to exactly 1.
+    The nodes are theta = k pi/(n+1), k = 1..n, in each angle: the
+    trapezoid rule with the endpoints dropped, where the Weyl density
+    vanishes.  It is exact for cosine polynomials of degree < 2(n+1), and
+    the density adds 2g to the character's degree.  Returns (thetas (N, g),
+    weights (N,)); the weights are the density normalized by its sum, so
+    the constant function integrates to exactly 1.
     """
-    if order < MIN_QUADRATURE_ORDER:
-        raise OrderTooSmall(f"quadrature order {order} < {MIN_QUADRATURE_ORDER}")
     if g > MAX_TENSOR_RANK:
         raise UnsupportedModel(f"tensor quadrature supports rank <= {MAX_TENSOR_RANK}")
-    x, w = np.polynomial.legendre.leggauss(order)
-    t = 0.5 * math.pi * (x + 1.0)
-    wt = 0.5 * math.pi * w
-    thetas = np.array(list(itertools.product(t, repeat=g)))
-    weights = np.array([math.prod(ws) for ws in itertools.product(wt, repeat=g)])
+    n = (degree + 2 * g) // 2
+    t = np.arange(1, n + 1) * (math.pi / (n + 1))
+    thetas = np.stack(np.meshgrid(*[t] * g, indexing="ij"), axis=-1).reshape(-1, g)
     cos = np.cos(thetas)
     dens = np.prod(4.0 * np.sin(thetas) ** 2, axis=1)
     for i in range(g):
         for j in range(i + 1, g):
             dens = dens * (2.0 * cos[:, i] - 2.0 * cos[:, j]) ** 2
-    wd = weights * dens
-    return thetas, wd, float(wd.sum())
+    return thetas, dens / dens.sum()
 
 
 @lru_cache(maxsize=None)
-def _char_on_grid(g: int, parts: Partition, order: int) -> np.ndarray:
-    thetas, _, _ = _grid(g, order)
-    values = _char_values(parts, g, thetas)
-    values.setflags(write=False)
-    return values
-
-
-@lru_cache(maxsize=None)
-def _pair_integral(g: int, p1: Partition, p2: Partition, order: int) -> float:
-    _, wd, norm = _grid(g, order)
-    v1 = _char_on_grid(g, p1, order)
-    v2 = v1 if p2 == p1 else _char_on_grid(g, p2, order)
-    return float(np.dot(wd, v1 * v2) / norm)
+def _pair_integral(g: int, p1: Partition, p2: Partition) -> float:
+    thetas, weights = _grid(g, max(p1, default=0) + max(p2, default=0))
+    v1 = _char_values(p1, g, thetas)
+    v2 = v1 if p2 == p1 else _char_values(p2, g, thetas)
+    return float(np.dot(weights, v1 * v2))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +264,8 @@ class VirtualCharacter:
     def __post_init__(self):
         if len(self.gs) not in (1, 2):
             raise ValueError("only one or two symplectic factors are supported")
+        if min(self.gs) < 1:
+            raise ValueError(f"factor ranks must be >= 1, got {self.gs}")
         object.__setattr__(self, "terms", _canonical_terms(self.terms, len(self.gs)))
 
     @property
@@ -396,8 +389,7 @@ def _round_gate(raw: float, context: str) -> int:
     return int(nearest)
 
 
-def inner_product_raw(chi1: VirtualCharacter, chi2: VirtualCharacter,
-                      order: int = DEFAULT_QUADRATURE_ORDER) -> float:
+def inner_product_raw(chi1: VirtualCharacter, chi2: VirtualCharacter) -> float:
     """Haar inner product before integer rounding (selfdual characters)."""
     if chi1.gs != chi2.gs:
         raise ValueError("characters live on different groups")
@@ -406,24 +398,22 @@ def inner_product_raw(chi1: VirtualCharacter, chi2: VirtualCharacter,
         for key2, c2 in chi2.terms.items():
             prod = float(c1 * c2)
             for g, p1, p2 in zip(chi1.gs, key1, key2):
-                prod *= _pair_integral(g, p1, p2, order)
+                prod *= _pair_integral(g, p1, p2)
             total += prod
     return total
 
 
-def inner_product(chi1: VirtualCharacter, chi2: VirtualCharacter,
-                  order: int = DEFAULT_QUADRATURE_ORDER) -> int:
-    return _round_gate(inner_product_raw(chi1, chi2, order), "inner product")
+def inner_product(chi1: VirtualCharacter, chi2: VirtualCharacter) -> int:
+    return _round_gate(inner_product_raw(chi1, chi2), "inner product")
 
 
-def trivial_multiplicity(chi: VirtualCharacter,
-                         order: int = DEFAULT_QUADRATURE_ORDER) -> int:
+def trivial_multiplicity(chi: VirtualCharacter) -> int:
     """Multiplicity of the trivial representation, by quadrature."""
     if chi.is_product_group:
         triv = VirtualCharacter(chi.gs, {((), ()): 1})
     else:
         triv = trivial_char(chi.gs[0])
-    return inner_product(chi, triv, order)
+    return inner_product(chi, triv)
 
 
 def trivial_multiplicity_exact(chi: VirtualCharacter) -> int:
@@ -497,8 +487,6 @@ def psi_character(g: int, g2: int) -> VirtualCharacter:
     is positive exactly when the two traces have strictly opposite signs
     inside the Weil box.
     """
-    if g < 1 or g2 < 1:
-        raise ValueError("factor ranks must be >= 1")
     f1 = _psi_factor_terms(g, -1)
     f2 = _psi_factor_terms(g2, +1)
     chi = box_product(VirtualCharacter((g,), {(p,): c for p, c in f1.items()}),
@@ -591,10 +579,11 @@ def adams2_metadata(meta: AnalyticMetadata,
     )
 
 
-def fs_indicator(weight: DominantWeight,
-                 order: int = DEFAULT_QUADRATURE_ORDER) -> int:
+def fs_indicator(weight: DominantWeight) -> int:
     """Frobenius-Schur indicator: Haar integral of chi at squared elements."""
-    thetas, wd, norm = _grid(weight.g, order)
+    # an even node count keeps theta = pi/2 off the grid, where all doubled
+    # angles meet at cos = -1 and the jittered Weyl ratio turns into 0/0
+    lam1 = max(weight.parts, default=0)
+    thetas, weights = _grid(weight.g, 2 * lam1 + 2 * ((lam1 + weight.g) % 2))
     vals = _char_values(weight.parts, weight.g, 2.0 * thetas)
-    raw = float(np.dot(wd, vals) / norm)
-    return _round_gate(raw, f"FS indicator of {weight.parts}")
+    return _round_gate(float(np.dot(weights, vals)), f"FS indicator of {weight.parts}")

@@ -71,7 +71,7 @@ def test_criterion_02_orthonormality():
             for p2 in weights:
                 chi1 = sy.VirtualCharacter((g,), {(p1,): 1})
                 chi2 = sy.VirtualCharacter((g,), {(p2,): 1})
-                raw = sy.inner_product_raw(chi1, chi2, order=64)
+                raw = sy.inner_product_raw(chi1, chi2)
                 dev = abs(raw - (1.0 if p1 == p2 else 0.0))
                 worst = max(worst, dev)
                 assert dev <= 1e-6
@@ -85,7 +85,7 @@ def test_criterion_03_delta_psi():
     start = time.monotonic()
     for g, g2 in ((1, 1), (1, 2), (2, 2)):
         psi = psi_character(g, g2)
-        quad = sy.trivial_multiplicity(psi, order=64)
+        quad = sy.trivial_multiplicity(psi)
         exact = sy.trivial_multiplicity_exact(psi)
         raw = sy.psi_delta_exact(g, g2)
         assert quad == exact == raw == 1

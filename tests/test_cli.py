@@ -34,6 +34,12 @@ class TestDelta:
         assert code == 0
         assert all(line.endswith("= 3") for line in text.splitlines())
 
+    def test_psi_31(self):
+        code, text = run_cli(["delta", "--g", "3", "--g2", "1"])
+        assert code == 0
+        assert text.splitlines() == ["delta(psi[g=3,g'=1]) quadrature = 1",
+                                     "delta(psi[g=3,g'=1]) exact = 1"]
+
 
 class TestCount:
     def test_summary(self, curve_json, tmp_path):
@@ -184,6 +190,8 @@ class TestConfig:
     def test_usage_exit_codes(self):
         assert run_cli(["separate"])[0] == 1          # missing arguments
         assert run_cli(["--kernel-a", "0.7", "delta", "--g", "1", "--g2", "1"])[0] == 1
+        # an unknown flag: the quadrature grid is sized by the character
+        assert run_cli(["--quadrature-order", "64", "delta", "--g", "1", "--g2", "1"])[0] == 1
 
     def test_negative_parallelism_is_usage_error(self, curve_json):
         argv = ["--parallelism", "-3", "count", str(curve_json["11a1"]), "--pmax", "50"]
@@ -196,12 +204,7 @@ class TestConfig:
                 (["--parallelism", "-3", "count", str(curve_json["11a1"]), "--pmax", "50"],
                  "error: parallelism must be >= 0, got -3"),
                 (["--kernel-a", "0.7", "delta", "--g", "1", "--g2", "1"],
-                 "error: kernel a=0.7 outside (0, 1/4]"),
-                # rejected before any quadrature grid is built
-                (["--quadrature-order", "100000", "delta", "--g", "1", "--g2", "1"],
-                 "error: quadrature order 100000 outside [8, 128]"),
-                (["--quadrature-order", "7", "delta", "--g", "1", "--g2", "1"],
-                 "error: quadrature order 7 outside [8, 128]")):
+                 "error: kernel a=0.7 outside (0, 1/4]")):
             assert run_cli(argv) == (1, "")
             err = capsys.readouterr().err
             assert err.startswith("usage:") and message in err.splitlines()
@@ -213,9 +216,10 @@ class TestConfig:
 
 class TestMalformedInput:
     """Malformed input files and out-of-range arguments end in one `error:`
-    line and a typed exit code: 2 for a bad file, naming it, 1 for a bad
-    argument.  An exception escaping `main` would fail the test; at the
-    command line it would print a traceback."""
+    line and a typed exit code: 2 for a bad file, naming it, or for a value
+    outside a function's domain, 1 for a bad argument.  An exception
+    escaping `main` would fail the test; at the command line it would print
+    a traceback."""
 
     CURVE = {"label": "11a1", "genus": 1, "conductor": 11,
              "model": {"a_invariants": [0, -1, 1, -10, -20]}}
@@ -227,6 +231,9 @@ class TestMalformedInput:
         "genus_word.json": json.dumps({**CURVE, "genus": "two"}),
         "chi_no_terms.json": '{"g": 1}',
         "chi_no_coeff.json": '{"g": 1, "terms": [{"lambda": [1]}]}',
+        "chi_rank0.json": '{"g": 0, "terms": [{"lambda": [], "coeff": 1}]}',
+        "chi_rank_negative.json": '{"g": -1, "terms": [{"lambda": [], "coeff": 1}]}',
+        "chi_g2_rank0.json": '{"g": 1, "g2": 0, "terms": [{"lambda": [], "coeff": 1}]}',
         "corpus_no_pairs.json": '{"curves": []}',
     }
 
@@ -240,6 +247,14 @@ class TestMalformedInput:
          "chi_no_terms.json: missing field 'terms'"),
         (["sum", "curve.json", "--x", "100", "--chi", "chi_no_coeff.json"], 2,
          "chi_no_coeff.json: missing field 'coeff'"),
+        (["delta", "--g", "1", "--character", "chi_rank0.json"], 2,
+         "chi_rank0.json: factor ranks must be >= 1, got (0,)"),
+        (["delta", "--g", "1", "--character", "chi_rank_negative.json"], 2,
+         "chi_rank_negative.json: factor ranks must be >= 1, got (-1,)"),
+        (["delta", "--g", "1", "--character", "chi_g2_rank0.json"], 2,
+         "chi_g2_rank0.json: factor ranks must be >= 1, got (1, 0)"),
+        (["sum", "curve.json", "--x", "100", "--chi", "chi_rank0.json"], 2,
+         "chi_rank0.json: factor ranks must be >= 1, got (0,)"),
         (["scan", "corpus_no_pairs.json", "--pmax", "10"], 2,
          "corpus_no_pairs.json: missing field 'pairs'"),
         (["count", "curve.json", "--pmax", "-5"], 1, "p_max must be >= 0, got -5"),
@@ -251,11 +266,16 @@ class TestMalformedInput:
         (["kernel-check", "--y", "2,inf"], 1, "every y and T must be finite"),
         (["kernel-check", "--y", "2", "--T", "nan"], 1, "every y and T must be finite"),
         (["kernel-check", "--y", "2", "--T", "inf"], 1, "every y and T must be finite"),
+        # a finite T too high for the contour's windows is outside its domain
+        (["kernel-check", "--y", "2", "--T", "1e12"], 2,
+         "truncation height T=1000000000000.0 not finite and in [1000, 10000000]"),
     ], ids=["curve-missing-field", "curve-not-json", "curve-short-a-invariants",
             "curve-genus-not-int", "character-missing-terms", "character-missing-coeff",
+            "character-rank-zero", "character-rank-negative", "character-g2-rank-zero",
+            "sum-character-rank-zero",
             "corpus-missing-pairs", "count-negative-pmax", "separate-negative-pmax",
             "sum-infinite-x", "kernel-check-nan-y", "kernel-check-infinite-y",
-            "kernel-check-nan-T", "kernel-check-infinite-T"])
+            "kernel-check-nan-T", "kernel-check-infinite-T", "kernel-check-huge-T"])
     def test_error_line_not_traceback(self, argv, code, message, tmp_path, capsys):
         for name, text in self.FILES.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
@@ -263,7 +283,8 @@ class TestMalformedInput:
         assert run_cli(argv) == (code, "")
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        prefix = f"error: {tmp_path / message}" if code == 2 else f"error: {message}"
+        named = message.split(":")[0] in self.FILES
+        prefix = f"error: {tmp_path / message}" if named else f"error: {message}"
         assert err.splitlines()[-1].startswith(prefix)
 
 

@@ -62,8 +62,10 @@ class TestContour:
         assert all(o >= 0.9 for o in orders)
 
     def test_low_truncation_rejected(self):
-        with pytest.raises(DomainError):
-            bach_kernel_contour(2.0, 0.25, 100.0)
+        # 1e12 is too high, not too low: it is rejected before 2e8 windows run
+        for T in (100.0, 1e12):
+            with pytest.raises(DomainError):
+                bach_kernel_contour(2.0, 0.25, T)
 
     @pytest.mark.parametrize("y, T", [(2.0, math.nan), (2.0, math.inf),
                                       (math.nan, 1e5), (math.inf, 1e5)])
