@@ -1,10 +1,12 @@
 """Character evaluators: map stored Frobenius data to values chi(y_p^r).
 
 Every evaluator works on an array of primes at once and returns one value
-per prime, read from the trace table's columns.  Prime powers evaluate
-characters at powered conjugacy classes, so r >= 2 needs eigenvalue
-angles; genus-1 angles come straight from the trace column, genus-2 angles
-need the stored quartic Euler factors.
+per prime, read from the trace table's columns.  A Frobenius class enters
+character theory as its normalized Euler-factor coefficients, the
+elementary symmetric functions e_0..e_2g of its unitarized eigenvalues:
+genus 1 needs only the trace column, genus 2 also needs e_2 = a_2/p from
+the stored quartic Euler factors.  Prime powers r >= 2 go through the
+power map e(x) -> e(x^r); no eigenvalue angle is ever formed.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Protocol
 import numpy as np
 
 from . import symplectic
-from .curves import unitarized_eigenangles
 from .errors import MissingEigendata
 from .store import TraceTable
 
@@ -53,21 +54,22 @@ class TautologicalEvaluator:
     def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray:
         if r == 1:
             return self.table.a_p[self.table.rows(primes)] / np.sqrt(primes)
-        return (2.0 * np.cos(r * self.angles(primes))).sum(axis=1)
+        return symplectic.power_map(self.elementary(primes), r)[:, 1]
 
-    def angles(self, primes: np.ndarray) -> np.ndarray:
-        """Eigenvalue angles in [0, pi], one row of g per prime."""
+    def elementary(self, primes: np.ndarray) -> np.ndarray:
+        """Rows e_0..e_2g of the unitarized Frobenius eigenvalues, one per
+        prime: (1, t, 1) in genus 1, (1, t, a_2/p, t, 1) in genus 2."""
         rows = self.table.rows(primes)
+        t = self.table.a_p[rows] / np.sqrt(primes)
+        one = np.ones_like(t)
         if self.table.genus == 1:
-            cosines = self.table.a_p[rows] / (2.0 * np.sqrt(primes))
-            return np.arccos(np.clip(cosines, -1.0, 1.0))[:, None]
+            return np.stack([one, t, one], axis=1)
         lpoly = self.table.lpoly
         lacking = primes[lpoly[rows, 0] != 1] if lpoly is not None else primes
         if lacking.size:
             raise MissingEigendata(f"{self.table.curve_label}: p={lacking[0]} "
                                    f"has no stored Euler factor")
-        return np.array([unitarized_eigenangles(row, p) for row, p
-                         in zip(lpoly[rows], primes.tolist())]).reshape(-1, 2)
+        return np.stack([one, t, lpoly[rows, 2] / primes, t, one], axis=1)
 
 
 class PsiPairEvaluator:
@@ -109,5 +111,5 @@ class VirtualCharEvaluator:
         return np.logical_and.reduce([e.good(primes) for e in self._taut])
 
     def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray:
-        return self.chi.values(*(symplectic.fold_angle(r * taut.angles(primes))
+        return self.chi.values(*(symplectic.power_map(taut.elementary(primes), r)
                                  for taut in self._taut))

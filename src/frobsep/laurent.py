@@ -172,8 +172,9 @@ def evaluate(p: LaurentPoly, angles) -> float:
 def character_value_exact(lam: tuple[int, ...], g: int, angles) -> float:
     """Evaluate sp_lambda via the antisymmetrized-orbit ratio.
 
-    Independent of the Chebyshev-determinant production path; used as a
-    cross-check oracle at generic (non-singular) angles.
+    Independent of the production path, the dual Jacobi-Trudi determinant
+    in `symplectic`; used as a cross-check oracle at generic (non-singular)
+    angles.
     """
     padded = tuple(lam) + (0,) * (g - len(lam))
     r = _rho(g)

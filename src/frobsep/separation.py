@@ -47,10 +47,17 @@ def _psi_factors(t: float, t2: float, g: int, g2: int) -> tuple[float, ...]:
 
 
 def psi_value(t: float, t2: float, g: int, g2: int) -> float:
-    """Separator value at normalized traces: t * t2 * (t - 2g) * (t2 + 2g2),
-    rounded as a float product (it can underflow to 0 for tiny t * t2)."""
-    a, b, c, d = _psi_factors(t, t2, g, g2)
-    return a * b * c * d
+    """Separator value at normalized traces: t * t2 * (t - 2g) * (t2 + 2g2).
+
+    It is the rounded float product, except where every factor is nonzero
+    and the product underflows to 0: then it is the smallest subnormal
+    with the exact product's sign, so its sign is always the true one.
+    """
+    factors = _psi_factors(t, t2, g, g2)
+    value = math.prod(factors)
+    if value == 0.0 and all(factors):     # the signed zero keeps the sign
+        return math.copysign(math.ulp(0.0), value)
+    return value
 
 
 def sign_criterion_equivalence(t: float, t2: float, g: int,

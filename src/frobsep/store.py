@@ -26,9 +26,9 @@ from typing import Final
 import numpy as np
 
 from .curves import (DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING, CurveSpec,
-                     count_points_many, euler_factor, unitarized_eigenangles)
+                     count_points_many, euler_factor)
 from .errors import (CeilingExceeded, ConflictError, IncompleteTable,
-                     NonUnitaryRoots, SchemaError, ValidationError)
+                     SchemaError, ValidationError)
 
 CSV_HEADER: Final = "p,good,count_fp,a_p,lpoly"
 METADATA_PREFIX: Final = "# frobsep-trace-table"
@@ -113,12 +113,13 @@ class TraceTable:
 def _first_invalid_row(g, p, good, a_p, lpoly, count=None) -> tuple[int, str] | None:
     """(row, message) of the first row that breaks an invariant, else None.
 
-    The Weil bound and the point count are compared as Python integers, so
-    no int64 product can wrap.  `count` is the CSV's #C(F_p) column.
+    The Weil bound, the point count and the Euler factors are compared as
+    Python integers, so no int64 product can wrap.  `count` is the CSV's
+    #C(F_p) column.
     """
     big_p, big_a = p.astype(object), a_p.astype(object)
     if lpoly is None:
-        lpoly = np.zeros((len(p), 2), dtype=np.int64)
+        lpoly = np.zeros((len(p), 2 * g + 1), dtype=np.int64)
     stored = lpoly.any(axis=1)
     checks = [
         (np.diff(p, prepend=0) <= 0, "primes not strictly ascending at p={}"),
@@ -127,18 +128,30 @@ def _first_invalid_row(g, p, good, a_p, lpoly, count=None) -> tuple[int, str] | 
         (stored & ((lpoly[:, 0] != 1) | (lpoly[:, 1] != -a_p)),
          "p={}: L-polynomial mismatch"),
     ]
+    if g == 1:
+        checks.append((stored & (lpoly[:, 2] != p), "p={}: constant term != p"))
+    elif stored.any():
+        # the factor is (1 - b T + p T^2)(1 - b' T + p T^2) with b, b' the
+        # roots of x^2 + c1 x + c2 - 2p, real and in [-2 sqrt p, 2 sqrt p];
+        # c1^2 <= 16p is the Weil bound above, as c1 = -a_p
+        c = lpoly.T.astype(object)
+        shifted = c[2] + 2 * big_p
+        checks += [
+            (stored & ((c[3] != big_p * c[1]) | (c[4] != big_p * big_p)),
+             "p={}: Euler factor breaks the functional equation"),
+            (stored & (4 * c[2] > c[1] * c[1] + 8 * big_p),
+             "p={}: Euler factor violates 4 c2 <= c1^2 + 8p"),
+            (stored & (shifted < 0), "p={}: Euler factor violates c2 + 2p >= 0"),
+            (stored & (shifted * shifted < 4 * big_p * c[1] * c[1]),
+             "p={}: Euler factor violates (c2 + 2p)^2 >= 4p c1^2"),
+        ]
     if count is not None:
         checks.insert(2, (good & (count.astype(object) != big_p + 1 - big_a),
                           "p={}: a_p != p + 1 - #C(F_p)"))
     failing = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
-    first = int(failing[0]) if failing.size else len(p)
-    for row in np.flatnonzero(stored[:first]):
-        try:
-            unitarized_eigenangles(lpoly[row], int(p[row]))
-        except NonUnitaryRoots as exc:
-            return int(row), f"p={p[row]}: {exc}"
-    if first == len(p):
+    if not failing.size:
         return None
+    first = int(failing[0])
     message = next(msg for mask, msg in checks if mask[first])
     return first, message.format(p[first])
 

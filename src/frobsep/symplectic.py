@@ -1,14 +1,16 @@
 """Characters and Haar integration for USp(2g) and USp(2g) x USp(2g').
 
-Irreducible characters are evaluated through the Chebyshev form of the
-Weyl determinant ratio (the sine factors of numerator and denominator
-cancel), which keeps evaluation stable away from coincident eigenvalue
-cosines; coincidences are resolved by a confluent limit at rank <= 2 and
-by small deterministic jitters at higher rank.  Haar integrals run on
-tensor grids of equispaced interior nodes against the Weyl density,
-normalized so the constant function integrates to 1 on the same grid.
-Every integrand is a cosine polynomial in each angle, and the grid is
-sized from its degree so that the rule is exact for it.
+A conjugacy class is handed to a character as a row e_0..e_2g of the
+elementary symmetric functions of its 2g eigenvalues, the coefficients of
+its characteristic polynomial; at Frobenius these are the normalized
+Euler-factor coefficients.  Irreducible characters are evaluated from
+such rows by the dual Jacobi-Trudi determinant, which has no denominator
+and so no coincident-eigenvalue cases, and powers of a class go through
+Newton's identities.  Haar integrals run on tensor grids of equispaced
+interior nodes against the Weyl density, normalized so the constant
+function integrates to 1 on the same grid.  Every integrand is a cosine
+polynomial in each angle, and the grid is sized from its degree so that
+the rule is exact for it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .errors import NonIntegral, UnsupportedModel, parsing
 
 MAX_TENSOR_RANK: Final = 3            # tensor grid of n**g nodes
 INTEGRALITY_TOL: Final = 1e-3
-COINCIDENCE_TOL: Final = 1e-6         # |cos t_i - cos t_j| below this is confluent
-JITTER_EPS: Final = 1e-7
 
 Partition = tuple[int, ...]
 
@@ -78,103 +78,69 @@ class TorusPoint:
 
     def power(self, r: int) -> "TorusPoint":
         """Class of the r-th power: angles r*theta folded back into [0, pi]."""
-        return TorusPoint(tuple(fold_angle(r * t) for t in self.angles),
-                          tuple(fold_angle(r * t) for t in self.angles2))
-
-
-def fold_angle(t):
-    """Map real angles, elementwise, to their [0, pi] class representatives."""
-    return np.arccos(np.cos(t))
+        return TorusPoint(tuple(math.acos(math.cos(r * t)) for t in self.angles),
+                          tuple(math.acos(math.cos(r * t)) for t in self.angles2))
 
 
 # ---------------------------------------------------------------------------
 # character evaluation
 
 
-def _cheb_u(c: np.ndarray, mmax: int) -> np.ndarray:
-    """Chebyshev U_0..U_mmax at c, stacked on axis 0."""
-    out = np.empty((mmax + 1,) + c.shape)
-    out[0] = 1.0
-    if mmax >= 1:
-        out[1] = 2.0 * c
-    for k in range(1, mmax):
-        out[k + 1] = 2.0 * c * out[k] - out[k - 1]
-    return out
-
-
-def _cheb_u_with_deriv(c: np.ndarray, mmax: int) -> tuple[np.ndarray, np.ndarray]:
-    u = _cheb_u(c, mmax)
-    du = np.zeros_like(u)
-    if mmax >= 1:
-        du[1] = 2.0
-    for k in range(1, mmax):
-        du[k + 1] = 2.0 * u[k] + 2.0 * c * du[k] - du[k - 1]
-    return u, du
-
-
-def _exponents(parts: Partition, g: int) -> np.ndarray:
-    lam = list(parts) + [0] * (g - len(parts))
-    return np.array([lam[k] + g - k for k in range(g)], dtype=np.int64)
-
-
-def _weyl_ratio(ell: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev determinant det U_{ell_k - 1}(c_i) and Weyl denominator
-    prod 2 (c_i - c_j) at cosine rows c (N, g); their ratio is sp_lambda."""
-    g = c.shape[1]
-    u = _cheb_u(c, int(ell.max()) - 1)
-    mat = np.empty((c.shape[0], g, g))
-    for k in range(g):
-        mat[:, :, k] = u[ell[k] - 1]
-    den = np.ones(c.shape[0])
-    for i in range(g):
-        for j in range(i + 1, g):
-            den *= 2.0 * (c[:, i] - c[:, j])
-    return np.linalg.det(mat), den
-
-
-def _char_values(parts: Partition, g: int, thetas: np.ndarray) -> np.ndarray:
-    """sp_lambda at angle rows thetas (N, g); handles coincident cosines."""
+def _e_at_angles(thetas: np.ndarray) -> np.ndarray:
+    """Rows e_0..e_2g of the eigenvalues e^{+-i theta_j}: the coefficients
+    of prod_j (1 + 2 cos(theta_j) T + T^2), one row per angle row (N, g)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    ell = _exponents(parts, g)
-    c = np.cos(thetas)
-    if g == 1:
-        return _cheb_u(c, int(ell[0]) - 1)[ell[0] - 1, :, 0]
-    num, den = _weyl_ratio(ell, c)
-    i, j = np.triu_indices(g, 1)
-    ok = np.abs(c[:, i] - c[:, j]).min(axis=1) > COINCIDENCE_TOL
-    out = np.empty(len(c))
-    out[ok] = num[ok] / den[ok]
-    if not ok.all():
-        bad = ~ok
-        out[bad] = (_confluent_rank2(ell, c[bad]) if g == 2
-                    else _jittered(ell, thetas[bad]))
-    return out
+    e = np.ones((len(thetas), 1))
+    for c in 2.0 * np.cos(thetas.T):
+        e = np.pad(e, ((0, 0), (0, 2))) + np.pad(e, ((0, 0), (2, 0))) + (
+            c[:, None] * np.pad(e, ((0, 0), (1, 1))))
+    return e
 
 
-def _confluent_rank2(ell: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # limit of the determinant ratio as the two cosines merge (Wronskian form)
-    cbar = 0.5 * (c[:, 0] + c[:, 1])
-    u, du = _cheb_u_with_deriv(cbar, int(ell.max()) - 1)
-    l1, l2 = ell[0] - 1, ell[1] - 1
-    return 0.5 * (du[l1] * u[l2] - u[l1] * du[l2])
+def power_map(e: np.ndarray, r: int) -> np.ndarray:
+    """Rows e(x^r) of the r-th powers of the eigenvalues with rows e(x).
+
+    Newton's identities turn e into the power sums p_k(x), the powers
+    have p_m(x^r) = p_{rm}(x), and Newton's identities run backwards give
+    their elementary symmetric functions.
+    """
+    if r == 1:
+        return e
+    n = e.shape[1] - 1
+    p = np.zeros((len(e), r * n + 1))
+    for k in range(1, r * n + 1):
+        p[:, k] = sum((-1) ** (i - 1) * e[:, i] * (p[:, k - i] if i < k else k)
+                      for i in range(1, min(k, n) + 1))
+    powered = np.ones((len(e), n + 1))
+    for k in range(1, n + 1):
+        powered[:, k] = sum((-1) ** (i - 1) * powered[:, k - i] * p[:, r * i]
+                            for i in range(1, k + 1)) / k
+    return powered
 
 
-def _jittered(ell: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    # rank >= 3 fallback: average over three deterministic angle perturbations
-    rng = np.random.default_rng(0x5EED)
-    acc = np.zeros(thetas.shape[0])
-    for _ in range(3):
-        shift = JITTER_EPS * rng.uniform(-1.0, 1.0, size=thetas.shape)
-        num, den = _weyl_ratio(ell, np.cos(thetas + shift))
-        acc += num / den
-    return acc / 3.0
+def _char_from_e(parts: Partition, e: np.ndarray) -> np.ndarray:
+    """sp_lambda at rows e (N, 2g+1) of elementary symmetric functions.
+
+    Dual Jacobi-Trudi identity for Sp(2g) (Koike-Terada, J. Algebra 107,
+    1987): sp_lambda = det(e_{l_i - i + j} - e_{l_i - i - j}), 1 <= i, j <=
+    lambda_1, with l = lambda' the conjugate partition and e_k = 0 outside
+    [0, 2g].  It has no denominator, so coincident eigenvalues need no
+    special case.
+    """
+    n = max(parts, default=0)
+    conj = np.array([sum(part > i for part in parts) for i in range(n)], dtype=int)
+    ij = np.arange(1, n + 1)
+    # 2n zeros on either side put every index in range: l_i <= g
+    padded = np.pad(np.atleast_2d(e), ((0, 0), (2 * n, 2 * n)))
+    k = (conj - ij + 2 * n)[:, None]
+    return np.linalg.det(padded[:, k + ij] - padded[:, k - ij])
 
 
 def char_value(weight: DominantWeight, point: TorusPoint) -> float:
     """Evaluate the irreducible character at a torus point of the same rank."""
     if len(point.angles) != weight.g:
         raise ValueError(f"point has {len(point.angles)} angles, weight rank {weight.g}")
-    return float(_char_values(weight.parts, weight.g, np.array([point.angles]))[0])
+    return float(_char_from_e(weight.parts, _e_at_angles(point.angles))[0])
 
 
 def dimension(weight: DominantWeight) -> int:
@@ -194,9 +160,10 @@ def _grid(g: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     The nodes are theta = k pi/(n+1), k = 1..n, in each angle: the
     trapezoid rule with the endpoints dropped, where the Weyl density
     vanishes.  It is exact for cosine polynomials of degree < 2(n+1), and
-    the density adds 2g to the character's degree.  Returns (thetas (N, g),
-    weights (N,)); the weights are the density normalized by its sum, so
-    the constant function integrates to exactly 1.
+    the density adds 2g to the character's degree.  Returns (e (N, 2g+1),
+    weights (N,)): the nodes as rows of elementary symmetric functions, and
+    the density normalized by its sum, so the constant function integrates
+    to exactly 1.
     """
     if g > MAX_TENSOR_RANK:
         raise UnsupportedModel(f"tensor quadrature supports rank <= {MAX_TENSOR_RANK}")
@@ -208,14 +175,14 @@ def _grid(g: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     for i in range(g):
         for j in range(i + 1, g):
             dens = dens * (2.0 * cos[:, i] - 2.0 * cos[:, j]) ** 2
-    return thetas, dens / dens.sum()
+    return _e_at_angles(thetas), dens / dens.sum()
 
 
 @lru_cache(maxsize=None)
 def _pair_integral(g: int, p1: Partition, p2: Partition) -> float:
-    thetas, weights = _grid(g, max(p1, default=0) + max(p2, default=0))
-    v1 = _char_values(p1, g, thetas)
-    v2 = v1 if p2 == p1 else _char_values(p2, g, thetas)
+    e, weights = _grid(g, max(p1, default=0) + max(p2, default=0))
+    v1 = _char_from_e(p1, e)
+    v2 = v1 if p2 == p1 else _char_from_e(p2, e)
     return float(np.dot(weights, v1 * v2))
 
 
@@ -272,13 +239,14 @@ class VirtualCharacter:
     def is_product_group(self) -> bool:
         return len(self.gs) == 2
 
-    def values(self, *thetas: np.ndarray) -> np.ndarray:
-        """Character at N conjugacy classes: one (N, g) angle array per factor."""
-        total = np.zeros(len(thetas[0]))
+    def values(self, *e: np.ndarray) -> np.ndarray:
+        """Character at N conjugacy classes: one (N, 2g+1) array of rows
+        e_0..e_2g of eigenvalue elementary symmetric functions per factor."""
+        total = np.zeros(len(e[0]))
         for key, coeff in self.terms.items():
             prod = float(coeff)
-            for g, parts, angles in zip(self.gs, key, thetas):
-                prod = prod * _char_values(parts, g, angles)
+            for parts, rows in zip(key, e):
+                prod = prod * _char_from_e(parts, rows)
             total = total + prod
         return total
 
@@ -286,7 +254,7 @@ class VirtualCharacter:
         angle_sets = (point.angles, point.angles2)[: len(self.gs)]
         if [len(angles) for angles in angle_sets] != list(self.gs):
             raise ValueError("torus point rank mismatch")
-        return float(self.values(*(np.array([a]) for a in angle_sets))[0])
+        return float(self.values(*map(_e_at_angles, angle_sets))[0])
 
     def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         if self.gs != other.gs:
@@ -581,9 +549,6 @@ def adams2_metadata(meta: AnalyticMetadata,
 
 def fs_indicator(weight: DominantWeight) -> int:
     """Frobenius-Schur indicator: Haar integral of chi at squared elements."""
-    # an even node count keeps theta = pi/2 off the grid, where all doubled
-    # angles meet at cos = -1 and the jittered Weyl ratio turns into 0/0
-    lam1 = max(weight.parts, default=0)
-    thetas, weights = _grid(weight.g, 2 * lam1 + 2 * ((lam1 + weight.g) % 2))
-    vals = _char_values(weight.parts, weight.g, 2.0 * thetas)
+    e, weights = _grid(weight.g, 2 * max(weight.parts, default=0))
+    vals = _char_from_e(weight.parts, power_map(e, 2))
     return _round_gate(float(np.dot(weights, vals)), f"FS indicator of {weight.parts}")

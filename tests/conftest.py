@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# a failing draw also prints the blob that @reproduce_failure replays
+settings.register_profile("frobsep", print_blob=True)
+settings.load_profile("frobsep")
 
 from frobsep import CurveSpec, compute_range
 

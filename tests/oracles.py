@@ -410,13 +410,14 @@ def sextic_discriminant(coeffs) -> int:
 T_SEARCH_GRID = 512
 
 
-def _virtual_values(terms, g: int, thetas: np.ndarray) -> np.ndarray:
+def _virtual_values(terms, thetas: np.ndarray) -> np.ndarray:
     """Sum of coeff * sp_lambda at angle rows thetas, terms keyed by lambda."""
-    from frobsep.symplectic import _char_values
+    from frobsep.symplectic import _char_from_e, _e_at_angles
 
-    out = np.zeros(np.atleast_2d(thetas).shape[0])
+    e = _e_at_angles(thetas)
+    out = np.zeros(len(e))
     for parts, coeff in terms.items():
-        out = out + coeff * _char_values(parts, g, thetas)
+        out = out + coeff * _char_from_e(parts, e)
     return out
 
 
@@ -435,8 +436,8 @@ def _max_on_group(values_fn, g: int, grid: int = T_SEARCH_GRID) -> float:
 
 
 def _factor_range(terms, g: int) -> tuple[float, float]:
-    return (-_max_on_group(lambda th: -_virtual_values(terms, g, th), g),
-            _max_on_group(lambda th: _virtual_values(terms, g, th), g))
+    return (-_max_on_group(lambda th: -_virtual_values(terms, th), g),
+            _max_on_group(lambda th: _virtual_values(terms, th), g))
 
 
 def character_max(chi, factors=None, grid: int = T_SEARCH_GRID) -> float:
@@ -455,5 +456,5 @@ def character_max(chi, factors=None, grid: int = T_SEARCH_GRID) -> float:
         lo2, hi2 = _factor_range(factors[1], chi.gs[1])
         return max(a * b for a in (lo1, hi1) for b in (lo2, hi2))
     terms = {parts: c for (parts,), c in chi.terms.items()}
-    return _max_on_group(lambda th: _virtual_values(terms, chi.gs[0], th),
+    return _max_on_group(lambda th: _virtual_values(terms, th),
                          chi.gs[0], grid)

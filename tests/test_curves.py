@@ -8,7 +8,6 @@ import oracles
 from frobsep import (CurveSpec, count_points, count_points_Fp2, euler_factor,
                      unitarized_eigenangles)
 from frobsep import curves
-from frobsep.evaluators import TautologicalEvaluator
 from frobsep.errors import (BadReduction, CeilingExceeded, NonUnitaryRoots,
                             UnsupportedModel, ValidationError)
 
@@ -341,14 +340,6 @@ class TestEigenangles:
             numeric = np.sort(np.arccos(np.clip(
                 (1.0 / (oracles.polished_roots(coeffs) * math.sqrt(p))).real, -1, 1)))[::2]
             assert np.allclose(thetas, numeric, atol=1e-6)
-
-    def test_genus1_shortcut_matches(self, c11, t11):
-        # genus-1 evaluators take the angle straight from the trace column
-        angles = TautologicalEvaluator(t11).angles(np.array([3, 5, 7, 13]))
-        for p, angle in zip((3, 5, 7, 13), angles):
-            a = p + 1 - count_points(c11, p)
-            via_poly = unitarized_eigenangles((1, -a, p), p)
-            assert tuple(angle) == pytest.approx(via_poly, abs=1e-9)
 
 
 class TestCurveSpec:

@@ -227,6 +227,31 @@ class TestEvaluators:
         with pytest.raises(ValueError):
             VirtualCharEvaluator(sy.tautological_char(2), t11)
 
+    @pytest.mark.parametrize("curve", ["11a1", "g2b"])
+    def test_frobenius_powers_match_angle_oracle(self, curve, t11, g2b):
+        """V and Sym^2 V at Frob^r, r = 1..17, through the power map on
+        Euler-factor coefficients, against the oracle's eigenvalue angles
+        folded by hand; genus 2 reads its stored quartics."""
+        from frobsep import compute_range
+
+        table = t11 if curve == "11a1" else compute_range(g2b, 97, with_lpoly=True)
+        g = table.genus
+        primes = table.p[table.good]
+        taut = TautologicalEvaluator(table)
+        sym2 = VirtualCharEvaluator(sy.sym2_char(g), table)
+
+        def sym2_by_power_sums(angles):
+            # Sym^2 V is irreducible for USp(2g): h_2 = (p_1^2 + p_2) / 2
+            p1 = sum(2.0 * math.cos(t) for t in angles)
+            p2 = sum(2.0 * math.cos(2.0 * t) for t in angles)
+            return (p1 * p1 + p2) / 2.0
+
+        for r in range(1, 18):
+            for evaluator, kind in ((taut, "V"), (sym2, sym2_by_power_sums)):
+                want = [oracles.character_term(kind, [table], p, r)
+                        for p in primes.tolist()]
+                assert evaluator.values(primes, r) == pytest.approx(want, abs=1e-9)
+
 
 class TestCoverage:
     """A prime the table lacks raises `IncompleteTable` naming the curve; it

@@ -32,12 +32,13 @@ class TestPsiValue:
     @given(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), st.data())
     def test_positive_iff_opposite_signs(self, gs, data):
         """Strictly inside the Weil box (t - 2g) < 0 < (t2 + 2g2), so psi > 0
-        exactly when t * t2 < 0."""
+        exactly when t * t2 < 0.  That sign is read off t and t2, since the
+        float product t * t2 can itself underflow to -0.0."""
         g, g2 = gs
         inside = lambda bound: st.floats(-bound, bound, exclude_min=True,
                                          exclude_max=True).filter(bool)
         t, t2 = data.draw(inside(2 * g)), data.draw(inside(2 * g2))
-        assert (psi_value(t, t2, g, g2) > 0) == (t * t2 < 0)
+        assert (psi_value(t, t2, g, g2) > 0) == ((t < 0) != (t2 < 0))
 
 
 class TestSignCriterion:
@@ -60,9 +61,12 @@ class TestSignCriterion:
     @pytest.mark.parametrize("t,t2", [(1.9999999999999998, -5e-324), (1e-200, -1e-200)])
     def test_underflowing_product_still_agrees(self, t, t2):
         """t * t2 or the whole psi product rounds to 0 here, so the signs
-        come from the factors; psi_value still returns the rounded product."""
+        come from the factors, and psi_value returns the smallest subnormal
+        with the exact product's sign."""
         assert sign_criterion_equivalence(t, t2, 1, 1) == (True, True)
-        assert psi_value(t, t2, 1, 1) == t * t2 * (t - 2) * (t2 + 2) == 0.0
+        assert t * t2 * (t - 2) * (t2 + 2) == 0.0
+        assert psi_value(t, t2, 1, 1) == math.ulp(0.0)
+        assert psi_value(t, -t2, 1, 1) == -math.ulp(0.0)
 
 
 class TestLeastSeparatingPrime:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import replace
 
@@ -348,6 +349,21 @@ class TestRowChecks:
         text = "\n".join([META.format(g=1), "p,good,count_fp,a_p,lpoly",
                           "2,1,5,-2,", "", row, "5,1,5,1,"]) + "\n"
         with pytest.raises(ValidationError, match=f"line 5: .*{message}"):
+            from_csv_text(text)
+
+    @pytest.mark.parametrize("row, message", [
+        ("3,1,4,0,1;0;0;0;7", "functional equation"),
+        ("3,1,4,0,1;0;7;0;9", "4 c2 <= c1^2 + 8p"),
+        ("3,1,4,0,1;0;-7;0;9", "c2 + 2p >= 0"),
+        ("3,1,2,2,1;-2;0;-6;9", "(c2 + 2p)^2 >= 4p c1^2"),
+        # c1^2 <= 16p is the trace column's Weil bound, as c1 = -a_p
+        ("3,1,-3,7,1;-7;30;-21;9", "Weil bound"),
+    ])
+    def test_genus2_factor_names_line(self, row, message):
+        """Each inequality of a real Weil quartic, compared in integers."""
+        text = "\n".join([META.format(g=2), "p,good,count_fp,a_p,lpoly",
+                          "2,0,,,", "", row, "5,0,,,"]) + "\n"
+        with pytest.raises(ValidationError, match=f"line 5: .*{re.escape(message)}"):
             from_csv_text(text)
 
     def test_constructor_checks_columns(self):

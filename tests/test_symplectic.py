@@ -20,10 +20,15 @@ class TestCharValue:
         assert sy.char_value(w, sy.TorusPoint((math.pi / 2,))) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_gives_dimension(self):
-        for g in (1, 2):
-            for w in all_weights(g):
+        # -identity acts on V^{(x) |lambda|} by (-1)^|lambda|
+        for g in (1, 2, 3):
+            for w in all_weights(g, max_degree=4):
+                d = sy.dimension(w)
                 ident = sy.TorusPoint((0.0,) * g)
-                assert sy.char_value(w, ident) == pytest.approx(sy.dimension(w), abs=1e-9)
+                minus = sy.TorusPoint((math.pi,) * g)
+                assert sy.char_value(w, ident) == pytest.approx(d, abs=1e-9)
+                assert sy.char_value(w, minus) == pytest.approx(
+                    (-1) ** w.degree * d, abs=1e-9)
 
     def test_lambda11_identity_value(self):
         w = sy.DominantWeight(2, (1, 1))
@@ -40,14 +45,14 @@ class TestCharValue:
                     assert got == pytest.approx(want, abs=1e-9)
 
     def test_near_coincident_angles_stay_accurate(self):
+        """Merging angles need no special case: the determinant has no
+        denominator, so the value is continuous across the diagonal."""
         w = sy.DominantWeight(2, (2, 1))
         base = 0.9
-        # direct path just outside the confluence window matches the oracle
         for eps in (1e-5, 1e-4):
             got = sy.char_value(w, sy.TorusPoint((base, base + eps)))
             want = laurent.character_value_exact(w.parts, 2, (base, base + eps))
             assert got == pytest.approx(want, abs=1e-8)
-        # confluent limit agrees with the oracle approaching the diagonal
         limit = sy.char_value(w, sy.TorusPoint((base, base)))
         near = laurent.character_value_exact(w.parts, 2, (base, base + 1e-7))
         assert limit == pytest.approx(near, abs=1e-5)
@@ -55,12 +60,23 @@ class TestCharValue:
         assert inside == pytest.approx(limit, abs=1e-6)
 
     def test_rank3_coincident_cosines(self):
-        """Two equal angles at rank 3 take the jittered ratio, which agrees
-        with the antisymmetrized oracle just off the diagonal."""
+        """Two equal angles at rank 3 agree with the antisymmetrized oracle
+        just off the diagonal."""
         w = sy.DominantWeight(3, (1,))
         got = sy.char_value(w, sy.TorusPoint((0.7, 0.7, 1.9)))
         near = laurent.character_value_exact(w.parts, 3, (0.7, 0.7 + 1e-7, 1.9))
         assert got == pytest.approx(near, abs=1e-6)
+
+    @pytest.mark.parametrize("angles", [(math.pi, math.pi, 0.5), (0.7, 0.7, 1.9),
+                                        (0.266, 0.276, 0.260)])
+    def test_coincident_and_clustered_angles(self, angles):
+        """Against the exact Laurent polynomial of sp_lambda summed monomial
+        by monomial at the eigenvalues, which has no denominator either; a
+        Weyl ratio loses digits or turns 0/0 at these points."""
+        for w in all_weights(3, max_degree=4):
+            want = laurent.evaluate(sy._sp_poly(w.parts, 3), angles)
+            got = sy.char_value(w, sy.TorusPoint(angles))
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
