@@ -4,10 +4,10 @@ multiplicities, Bach-kernel prime sums, and separating-prime scans."""
 from .curves import (CurveSpec, count_points, count_points_Fp2,
                      count_points_many, euler_factor, unitarized_eigenangles)
 from .kernels import (KernelParams, KernelSumReport, bach_kernel,
-                      bach_kernel_contour, chebyshev_sum, lambda_term,
-                      prime_power_tail, weighted_sum)
+                      bach_kernel_contour, chebyshev_sum, prime_power_tail,
+                      weighted_sum)
 from .separation import (SeparationRecord, least_separating_prime, psi_value,
-                         separation_scan, sign_criterion_equivalence)
+                         separation_scan)
 from .store import TraceTable, compute_range, export_csv, import_csv
 from .symplectic import (AnalyticMetadata, DominantWeight, TorusPoint,
                          VirtualCharacter, adams2, char_value, dimension,
@@ -23,8 +23,7 @@ __all__ = [
     "char_value", "chebyshev_sum", "compute_range", "count_points",
     "count_points_Fp2", "count_points_many", "dimension", "euler_factor",
     "export_csv", "fs_indicator", "import_csv", "inner_product",
-    "lambda_term", "least_separating_prime", "prime_power_tail",
-    "psi_character", "psi_value", "separation_scan",
-    "sign_criterion_equivalence", "trivial_multiplicity",
+    "least_separating_prime", "prime_power_tail", "psi_character",
+    "psi_value", "separation_scan", "trivial_multiplicity",
     "unitarized_eigenangles", "weighted_sum",
 ]

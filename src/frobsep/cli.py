@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from . import kernels, laurent, separation, store, symplectic
 from .curves import CurveSpec, DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING
 from .errors import FrobsepError, parsing
-from .evaluators import (PsiPairEvaluator, TautologicalEvaluator,
-                         TrivialEvaluator, VirtualCharEvaluator)
+from .evaluators import PsiPairEvaluator, TrivialEvaluator, VirtualCharEvaluator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="store genus-2 Euler factors")
 
     p_delta = sub.add_parser("delta", help="trivial multiplicity of psi or a character")
-    p_delta.add_argument("--g", type=int, required=True)
+    p_delta.add_argument("--g", type=int, default=None)
     p_delta.add_argument("--g2", type=int, default=None)
     p_delta.add_argument("--character", default=None,
                          help="virtual-character JSON file (overrides psi)")
@@ -144,7 +143,14 @@ def _cmd_delta(args, config: RunConfig, out) -> int:
     if args.character is not None:
         chi = symplectic.VirtualCharacter.from_path(args.character)
         name = f"chi[{os.path.basename(args.character)}]"
+        ranks = dict(zip(("--g", "--g2"), chi.gs))
+        for flag, given in (("--g", args.g), ("--g2", args.g2)):
+            if given is not None and given != ranks.get(flag):
+                raise ValueError(f"{flag} {given} does not match the character's "
+                                 + ", ".join(f"{f[2:]}={r}" for f, r in ranks.items()))
     else:
+        if args.g is None:
+            raise ValueError("delta needs --g (or --character)")
         if args.g2 is None:
             raise FrobsepError("delta needs --g2 (or --character)")
         chi = symplectic.psi_character(args.g, args.g2)

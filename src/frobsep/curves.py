@@ -101,12 +101,8 @@ class CurveSpec:
             if genus != 1:
                 raise ValidationError("a_invariants model implies genus 1")
             return cls.elliptic(label, model["a_invariants"], conductor)
-        f = model["f"]
-        h = model.get("h", [])
-        if genus == 1:
-            return cls(label=label, genus=1, f=_trim(f), h=_trim(h),
-                       conductor=conductor)
-        return cls.hyperelliptic(label, f, h, conductor)
+        return cls(label=label, genus=genus, f=model["f"], h=model.get("h", []),
+                   conductor=conductor)
 
     @classmethod
     def from_path(cls, path) -> "CurveSpec":

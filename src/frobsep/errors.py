@@ -89,7 +89,3 @@ class DomainError(FrobsepError):
 
 class WeilViolation(FrobsepError):
     """A normalized trace lies outside the Weil box [-2g, 2g]."""
-
-
-class BoundaryCase(FrobsepError):
-    """Sign-criterion equivalence degenerates on the Weil-box boundary."""

@@ -129,14 +129,6 @@ def _terms(evaluator: CharacterEvaluator, primes: np.ndarray, r: int,
                                           * np.log(x / q))
 
 
-def lambda_term(evaluator: CharacterEvaluator, p: int, r: int, x: float,
-                params: KernelParams) -> float:
-    """One summand: eigenvalue power sum times the kernel weight at Nm p^r."""
-    if p ** r > x:
-        raise DomainError(f"p^r={p ** r} exceeds x={x}")
-    return math.fsum(_terms(evaluator, np.array([p]), r, x, params.a).tolist())
-
-
 def weighted_sum(evaluator: CharacterEvaluator,
                  params: KernelParams) -> KernelSumReport:
     """Kernel-weighted sum over good primes <= x, with its main term.

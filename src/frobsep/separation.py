@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryCase, FrobsepError, WeilViolation
+from .errors import FrobsepError, WeilViolation
 from .store import TraceTable, sieve_primes
 
 CSV_HEADER = "labelA,labelB,N,N2,least_prime,log_bound,ratio"
@@ -39,13 +39,6 @@ class SeparationRecord:
                 f"{self.conductor_b},{least},{self.log_bound:.12g},{ratio}")
 
 
-def _psi_factors(t: float, t2: float, g: int, g2: int) -> tuple[float, ...]:
-    if abs(t) > 2 * g or abs(t2) > 2 * g2:
-        raise WeilViolation(
-            f"traces ({t}, {t2}) leave the Weil box for (g, g') = ({g}, {g2})")
-    return t, t2, t - 2 * g, t2 + 2 * g2
-
-
 def psi_value(t: float, t2: float, g: int, g2: int) -> float:
     """Separator value at normalized traces: t * t2 * (t - 2g) * (t2 + 2g2).
 
@@ -53,26 +46,14 @@ def psi_value(t: float, t2: float, g: int, g2: int) -> float:
     and the product underflows to 0: then it is the smallest subnormal
     with the exact product's sign, so its sign is always the true one.
     """
-    factors = _psi_factors(t, t2, g, g2)
+    if abs(t) > 2 * g or abs(t2) > 2 * g2:
+        raise WeilViolation(
+            f"traces ({t}, {t2}) leave the Weil box for (g, g') = ({g}, {g2})")
+    factors = (t, t2, t - 2 * g, t2 + 2 * g2)
     value = math.prod(factors)
     if value == 0.0 and all(factors):     # the signed zero keeps the sign
         return math.copysign(math.ulp(0.0), value)
     return value
-
-
-def sign_criterion_equivalence(t: float, t2: float, g: int,
-                               g2: int) -> tuple[bool, bool]:
-    """(psi > 0, t * t2 < 0); the two agree strictly inside the Weil box.
-
-    Both sides are read off the signs of the factors, not off a product
-    that could underflow.
-    """
-    factors = _psi_factors(t, t2, g, g2)
-    if abs(t) == 2 * g or abs(t2) == 2 * g2:
-        raise BoundaryCase(
-            "equivalence degenerates when a trace sits on the Weil boundary")
-    positive = all(factors) and sum(f < 0 for f in factors) % 2 == 0
-    return positive, bool(t and t2) and (t < 0) != (t2 < 0)
 
 
 def log_bound(conductor_a: int, conductor_b: int) -> float:

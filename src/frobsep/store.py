@@ -65,13 +65,10 @@ class TraceTable:
     a_p: np.ndarray
     good: np.ndarray
     lpoly: np.ndarray | None = None
-    provenance: str = "computed"
 
     def __post_init__(self):
         if not _LABEL_RE.match(self.curve_label):
             raise ValidationError(f"label {self.curve_label!r} not filesystem-safe")
-        if self.provenance not in ("computed", "imported"):
-            raise ValidationError(f"unknown provenance {self.provenance!r}")
         if self.genus not in (1, 2):
             raise ValidationError(f"unsupported genus {self.genus}")
         for name, dtype in (("p", np.int64), ("a_p", np.int64), ("good", bool),
@@ -195,13 +192,11 @@ def compute_range(curve: CurveSpec, p_max: int, *,
     width = 2 * curve.genus + 1
     lpoly = np.concatenate([np.zeros((len(b.p), width), dtype=np.int64)
                             if b.lpoly is None else b.lpoly for b in blocks])
-    imported = any(b.provenance == "imported" for b in blocks)
     return TraceTable(curve_label=curve.label, conductor=curve.conductor,
                       genus=curve.genus,
                       p=np.concatenate([b.p for b in blocks]),
                       a_p=np.concatenate([b.a_p for b in blocks]),
-                      good=np.concatenate([b.good for b in blocks]), lpoly=lpoly,
-                      provenance="imported" if imported else "computed")
+                      good=np.concatenate([b.good for b in blocks]), lpoly=lpoly)
 
 
 def _compute_block(curve, primes, with_lpoly, ceiling, fp2_ceiling,
@@ -267,7 +262,7 @@ def bad_prime_sets(curve: CurveSpec, p_max: int) -> tuple[list[int], list[int]]:
 def to_csv_text(table: TraceTable, model: str | None = None) -> str:
     """CSV text; a bucket's `model` fingerprint joins the metadata line."""
     meta = (f"{METADATA_PREFIX} label={table.curve_label} conductor={table.conductor} "
-            f"genus={table.genus} provenance={table.provenance}")
+            f"genus={table.genus}")
     if model is not None:
         meta += f" model={model}"
     lines = [meta, CSV_HEADER]
@@ -283,14 +278,15 @@ def to_csv_text(table: TraceTable, model: str | None = None) -> str:
 
 
 def _parse_metadata(line: str) -> dict:
-    """Metadata key/value pairs; conductor and genus come back as ints."""
+    """Metadata key/value pairs; conductor and genus come back as ints.
+    Keys it does not know, such as those older files carry, are ignored."""
     if not line.startswith(METADATA_PREFIX):
         raise SchemaError("missing trace-table metadata line")
     tokens = line[len(METADATA_PREFIX):].split()
     if not all("=" in kv for kv in tokens):
         raise SchemaError(f"metadata token without '=' in {line!r}")
     meta = dict(kv.split("=", 1) for kv in tokens)
-    for key in ("label", "conductor", "genus", "provenance"):
+    for key in ("label", "conductor", "genus"):
         if key not in meta:
             raise SchemaError(f"metadata line lacks {key}")
     try:
@@ -349,8 +345,7 @@ def from_csv_text(text: str, model: str | None = None) -> TraceTable:
     if invalid is not None:
         raise ValidationError(invalid[1], int(linenos[invalid[0]]))
     return TraceTable(curve_label=meta["label"], conductor=meta["conductor"],
-                      genus=meta["genus"], p=p, a_p=a_p, good=good, lpoly=cols[:, 5:],
-                      provenance=meta["provenance"])
+                      genus=meta["genus"], p=p, a_p=a_p, good=good, lpoly=cols[:, 5:])
 
 
 def export_csv(table: TraceTable, path: str | os.PathLike,

@@ -102,7 +102,10 @@ def power_map(e: np.ndarray, r: int) -> np.ndarray:
 
     Newton's identities turn e into the power sums p_k(x), the powers
     have p_m(x^r) = p_{rm}(x), and Newton's identities run backwards give
-    their elementary symmetric functions.
+    their elementary symmetric functions.  The error grows with r * 2g:
+    against the angle route at 200 random points and r <= 17 it is at most
+    2.7e-14 at g = 1, 6.2e-12 at g = 2 and 1.9e-9 at g = 3.  Evaluators
+    only call it with g <= 2.
     """
     if r == 1:
         return e
@@ -255,20 +258,6 @@ class VirtualCharacter:
         if [len(angles) for angles in angle_sets] != list(self.gs):
             raise ValueError("torus point rank mismatch")
         return float(self.values(*map(_e_at_angles, angle_sets))[0])
-
-    def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        if self.gs != other.gs:
-            raise ValueError("cannot add characters of different groups")
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0) + c
-        return VirtualCharacter(self.gs, merged)
-
-    def __neg__(self) -> "VirtualCharacter":
-        return VirtualCharacter(self.gs, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        return self + (-other)
 
     @property
     def total_dimension(self) -> int:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import frobsep
+import oracles
+from frobsep import CurveSpec, compute_range
 from frobsep.cli import main
 
 
@@ -34,6 +37,12 @@ class TestDelta:
         assert code == 0
         assert all(line.endswith("= 3") for line in text.splitlines())
 
+    def test_character_file_needs_no_g(self, tmp_path):
+        path = tmp_path / "g3.json"
+        path.write_text(TestMalformedInput.FILES["g3.json"], encoding="utf-8")
+        assert run_cli(["delta", "--character", str(path)]) == (
+            0, "delta(chi[g3.json]) quadrature = 2\ndelta(chi[g3.json]) exact = 2\n")
+
     def test_psi_31(self):
         code, text = run_cli(["delta", "--g", "3", "--g2", "1"])
         assert code == 0
@@ -48,6 +57,28 @@ class TestCount:
         assert code == 0
         assert "curve 11a1 genus 1 conductor 11" in text
         assert "15 (14 good, 1 bad)" in text
+
+    def test_bad_prime_sets_differ(self, tmp_path):
+        # a non-minimal model of 11a1: its discriminant is divisible by 2
+        path = tmp_path / "nonminimal.json"
+        path.write_text(json.dumps({"label": "11a1nm", "genus": 1, "conductor": 11,
+                                    "model": {"a_invariants": [0, -4, 8, -160, -1280]}}),
+                        encoding="utf-8")
+        assert run_cli(["--cache-dir", str(tmp_path), "count", str(path),
+                        "--pmax", "50"]) == (0, (
+            "curve 11a1nm genus 1 conductor 11\n"
+            "primes <= 50: 15 (13 good, 2 bad)\n"
+            "bad-prime sets differ: conductor [11] vs discriminant [2, 11]\n"
+            "  p=2 a_p=bad\n  p=3 a_p=-1\n  p=5 a_p=1\n  p=7 a_p=-2\n"
+            "  p=11 a_p=bad\n"))
+
+    def test_genus1_f_h_model(self, tmp_path, t11):
+        # y^2 + y = x^3 - x^2 - 10x - 20 given by f and h, not a-invariants
+        path = tmp_path / "11a1.json"
+        path.write_text(json.dumps({"label": "11a1", "genus": 1, "conductor": 11,
+                                    "model": {"f": [-20, -10, -1, 1], "h": [1]}}),
+                        encoding="utf-8")
+        assert compute_range(CurveSpec.from_path(path), 3000) == t11
 
 
 class TestSum:
@@ -93,6 +124,19 @@ class TestSum:
         assert code == 0
         row = text.splitlines()[1].split(",")
         assert row[2] == "0"   # main term
+
+    def test_product_group_character_file(self, curve_json, tmp_path, t11, t37):
+        # chi = V (x) V' on 11a1 x 37a1: the value at p is 4 cos(theta) cos(theta')
+        chi = tmp_path / "box.json"
+        chi.write_text(TestMalformedInput.FILES["box.json"], encoding="utf-8")
+        code, text = run_cli(["sum", str(curve_json["11a1"]), str(curve_json["37a1"]),
+                              "--x", "3000", "--chi", str(chi)])
+        assert code == 0
+        row = text.splitlines()[1].split(",")
+        assert row[1] == "-62.0500916958"
+        want = oracles.plain_weighted_sum(
+            lambda u, v: 4 * math.cos(u[0]) * math.cos(v[0]), [t11, t37], 3000.0, 0.25)
+        assert float(row[1]) == pytest.approx(want, abs=1e-9)
 
     def test_x_below_two_is_usage_error(self, curve_json):
         code, _ = run_cli(["sum", str(curve_json["11a1"]),
@@ -229,12 +273,24 @@ class TestMalformedInput:
         "not_json.json": "not json",
         "short_ainv.json": json.dumps({**CURVE, "model": {"a_invariants": [0, 0]}}),
         "genus_word.json": json.dumps({**CURVE, "genus": "two"}),
+        "genus3.json": json.dumps({**CURVE, "genus": 3, "model": {
+            "f": [0, 0, 0, 0, 1, 1], "h": [1, 1, 0, 1]}}),
+        "g1_h_quadratic.json": json.dumps({**CURVE, "model": {
+            "f": [-20, -10, -1, 1], "h": [1, 0, 1]}}),
+        "g2_f_degree7.json": json.dumps({**CURVE, "genus": 2, "model": {
+            "f": [1, 0, 0, 0, 0, 0, 0, 1]}}),
+        "g2_h_quartic.json": json.dumps({**CURVE, "genus": 2, "model": {
+            "f": [0, 0, 0, 0, 1, 1], "h": [1, 1, 0, 1, 1]}}),
+        "g2_a_invariants.json": json.dumps({**CURVE, "genus": 2}),
         "chi_no_terms.json": '{"g": 1}',
         "chi_no_coeff.json": '{"g": 1, "terms": [{"lambda": [1]}]}',
         "chi_rank0.json": '{"g": 0, "terms": [{"lambda": [], "coeff": 1}]}',
         "chi_rank_negative.json": '{"g": -1, "terms": [{"lambda": [], "coeff": 1}]}',
         "chi_g2_rank0.json": '{"g": 1, "g2": 0, "terms": [{"lambda": [], "coeff": 1}]}',
         "corpus_no_pairs.json": '{"curves": []}',
+        "g3.json": '{"g": 3, "terms": [{"lambda": [1, 1], "coeff": 1}, '
+                   '{"lambda": [], "coeff": 2}]}',
+        "box.json": '{"g": 1, "g2": 1, "terms": [{"lambda": [1], "mu": [1], "coeff": 1}]}',
     }
 
     @pytest.mark.parametrize("argv, code, message", [
@@ -243,6 +299,16 @@ class TestMalformedInput:
         (["count", "not_json.json", "--pmax", "10"], 2, "not_json.json: Expecting value"),
         (["count", "short_ainv.json", "--pmax", "10"], 2, "short_ainv.json: "),
         (["count", "genus_word.json", "--pmax", "10"], 2, "genus_word.json: "),
+        (["count", "genus3.json", "--pmax", "10"], 2,
+         "genus3.json: genus must be 1 or 2, got 3"),
+        (["count", "g1_h_quadratic.json", "--pmax", "10"], 2,
+         "g1_h_quadratic.json: genus-1 model needs deg h <= 1"),
+        (["count", "g2_f_degree7.json", "--pmax", "10"], 2,
+         "g2_f_degree7.json: genus-2 model needs deg f <= 6"),
+        (["count", "g2_h_quartic.json", "--pmax", "10"], 2,
+         "g2_h_quartic.json: genus-2 model needs deg h <= 3"),
+        (["count", "g2_a_invariants.json", "--pmax", "10"], 2,
+         "g2_a_invariants.json: a_invariants model implies genus 1"),
         (["delta", "--g", "1", "--character", "chi_no_terms.json"], 2,
          "chi_no_terms.json: missing field 'terms'"),
         (["sum", "curve.json", "--x", "100", "--chi", "chi_no_coeff.json"], 2,
@@ -257,6 +323,14 @@ class TestMalformedInput:
          "chi_rank0.json: factor ranks must be >= 1, got (0,)"),
         (["scan", "corpus_no_pairs.json", "--pmax", "10"], 2,
          "corpus_no_pairs.json: missing field 'pairs'"),
+        (["sum", "curve.json", "--x", "100", "--chi", "box.json"], 2,
+         "product-group characters need two curves"),
+        (["delta", "--g", "7", "--character", "g3.json"], 1,
+         "--g 7 does not match the character's g=3"),
+        (["delta", "--g", "3", "--g2", "1", "--character", "g3.json"], 1,
+         "--g2 1 does not match the character's g=3"),
+        (["delta"], 1, "delta needs --g (or --character)"),
+        (["delta", "--g", "1"], 2, "delta needs --g2 (or --character)"),
         (["count", "curve.json", "--pmax", "-5"], 1, "p_max must be >= 0, got -5"),
         (["separate", "curve.json", "curve.json", "--pmax", "-1"], 1,
          "p_max must be >= 0, got -1"),
@@ -270,10 +344,14 @@ class TestMalformedInput:
         (["kernel-check", "--y", "2", "--T", "1e12"], 2,
          "truncation height T=1000000000000.0 not finite and in [1000, 10000000]"),
     ], ids=["curve-missing-field", "curve-not-json", "curve-short-a-invariants",
-            "curve-genus-not-int", "character-missing-terms", "character-missing-coeff",
-            "character-rank-zero", "character-rank-negative", "character-g2-rank-zero",
+            "curve-genus-not-int", "curve-genus-3", "curve-genus1-h-quadratic",
+            "curve-genus2-f-degree-7", "curve-genus2-h-quartic",
+            "curve-genus2-a-invariants", "character-missing-terms",
+            "character-missing-coeff", "character-rank-zero", "character-rank-negative", "character-g2-rank-zero",
             "sum-character-rank-zero",
-            "corpus-missing-pairs", "count-negative-pmax", "separate-negative-pmax",
+            "corpus-missing-pairs", "sum-product-character-one-curve",
+            "delta-g-mismatch", "delta-g2-mismatch", "delta-no-g", "delta-no-g2",
+            "count-negative-pmax", "separate-negative-pmax",
             "sum-infinite-x", "kernel-check-nan-y", "kernel-check-infinite-y",
             "kernel-check-nan-T", "kernel-check-infinite-T", "kernel-check-huge-T"])
     def test_error_line_not_traceback(self, argv, code, message, tmp_path, capsys):

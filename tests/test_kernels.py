@@ -5,8 +5,7 @@ import pytest
 
 import oracles
 from frobsep import (KernelParams, bach_kernel, bach_kernel_contour,
-                     chebyshev_sum, lambda_term, prime_power_tail,
-                     weighted_sum)
+                     chebyshev_sum, prime_power_tail, weighted_sum)
 from frobsep.errors import DomainError, IncompleteTable
 from frobsep.evaluators import (PsiPairEvaluator, TautologicalEvaluator,
                                 TrivialEvaluator, VirtualCharEvaluator)
@@ -74,28 +73,6 @@ class TestContour:
             bach_kernel_contour(y, 0.25, T)
 
 
-class TestLambdaTerm:
-    def test_zero_character_value(self, t11):
-        ev = TautologicalEvaluator(t11)
-        params = KernelParams(x=100.0)
-        # 11a1 has a_19 = 0
-        assert a_p_at(t11, 19) == 0
-        assert lambda_term(ev, 19, 1, 100.0, params) == 0.0
-
-    def test_zero_at_cutoff(self, t11):
-        ev = TautologicalEvaluator(t11)
-        assert lambda_term(ev, 5, 1, 5.0, KernelParams(x=5.0)) == 0.0
-
-    def test_power_term_uses_eigenangles(self, t11):
-        ev = TautologicalEvaluator(t11)
-        p, x = 7, 100.0
-        a_norm = a_p_at(t11, p) / math.sqrt(p)
-        power_sum = a_norm * a_norm - 2.0    # 2 cos(2 theta)
-        weight = math.log(p) * (p * p / x) ** 0.25 * math.log(x / p ** 2)
-        got = lambda_term(ev, p, 2, x, KernelParams(x=x))
-        assert got == pytest.approx(power_sum * weight, rel=1e-12)
-
-
 class TestWeightedSum:
     def test_trivial_main_term(self):
         report = weighted_sum(TrivialEvaluator(), KernelParams(x=1000.0))
@@ -127,11 +104,10 @@ class TestWeightedSum:
             weighted_sum(PsiPairEvaluator(t11, t37), KernelParams(x=1e6))
 
     def test_additive_in_character(self, t11):
-        v = sy.tautological_char(1)
-        sym2 = sy.sym2_char(1)
-        ev_v = VirtualCharEvaluator(v, t11)
-        ev_s = VirtualCharEvaluator(sym2, t11)
-        ev_sum = VirtualCharEvaluator(v + sym2, t11)
+        ev_v = VirtualCharEvaluator(sy.tautological_char(1), t11)
+        ev_s = VirtualCharEvaluator(sy.sym2_char(1), t11)
+        ev_sum = VirtualCharEvaluator(
+            sy.VirtualCharacter((1,), {((1,),): 1, ((2,),): 1}), t11)
         x = 2000.0
         r1 = weighted_sum(ev_v, KernelParams(x=x))
         r2 = weighted_sum(ev_s, KernelParams(x=x))
@@ -257,11 +233,6 @@ class TestCoverage:
     """A prime the table lacks raises `IncompleteTable` naming the curve; it
     is never read as a bad prime.  t11 covers the primes up to 3000."""
 
-    def test_lambda_term_at_absent_prime(self, t11):
-        with pytest.raises(IncompleteTable, match="^11a1: table lacks prime 3001$"):
-            lambda_term(TautologicalEvaluator(t11), 3001, 1, 5000.0,
-                        KernelParams(x=5000.0))
-
     @pytest.mark.parametrize("make", [
         lambda t11, t37: TautologicalEvaluator(t11),
         lambda t11, t37: PsiPairEvaluator(t11, t37),
@@ -309,6 +280,17 @@ class TestSecondRoute:
             total, _ = chebyshev_sum(evaluator, x)
             assert total == pytest.approx(
                 oracles.plain_chebyshev_sum(kind, tables, x), abs=1e-9)
+
+    @pytest.mark.parametrize("x, run, oracle", [
+        # x = 2999 is prime: its own term has weight log(x / x) = 0
+        (2999.0, lambda ev, x: weighted_sum(ev, KernelParams(x=x)).sum_value,
+         oracles.plain_weighted_sum),
+        # x = 49 = 7^2: the r = 2 terms, 7^2 itself at weight 0
+        (49.0, lambda ev, x: prime_power_tail(ev, x)[0], oracles.tail_double_sum),
+    ], ids=["prime-cutoff", "prime-square-cutoff"])
+    def test_cutoff_on_a_prime_power(self, t11, x, run, oracle):
+        assert run(TautologicalEvaluator(t11), x) == pytest.approx(
+            oracle("V", [t11], x, 0.25), abs=1e-9)
 
     def test_genus2_tail_matches_per_prime_loop(self, g2b):
         # r >= 2 terms of a genus-2 curve come from its stored quartics

@@ -1,12 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobsep import (KernelParams, least_separating_prime, psi_value,
-                     separation_scan, sign_criterion_equivalence, weighted_sum)
-from frobsep.errors import BoundaryCase, IncompleteTable, WeilViolation
+                     separation_scan, weighted_sum)
+from frobsep.errors import IncompleteTable, WeilViolation
 from frobsep.evaluators import PsiPairEvaluator
 from frobsep.separation import CSV_HEADER, scan_csv
 from frobsep.store import TraceTable
@@ -42,28 +41,10 @@ class TestPsiValue:
 
 
 class TestSignCriterion:
-    def test_random_interior_points_agree(self):
-        rng = np.random.default_rng(3)
-        for g, g2 in [(1, 1), (1, 2), (2, 2)]:
-            t = rng.uniform(-2 * g, 2 * g, size=2000)
-            t2 = rng.uniform(-2 * g2, 2 * g2, size=2000)
-            for a, b in zip(t, t2):
-                lhs, rhs = sign_criterion_equivalence(a, b, g, g2)
-                assert lhs == rhs
-
-    def test_boundary_reported(self):
-        with pytest.raises(BoundaryCase):
-            sign_criterion_equivalence(2.0, 0.5, 1, 1)
-
-    def test_zero_trace_gives_false_false(self):
-        assert sign_criterion_equivalence(0.0, 1.0, 1, 1) == (False, False)
-
     @pytest.mark.parametrize("t,t2", [(1.9999999999999998, -5e-324), (1e-200, -1e-200)])
     def test_underflowing_product_still_agrees(self, t, t2):
-        """t * t2 or the whole psi product rounds to 0 here, so the signs
-        come from the factors, and psi_value returns the smallest subnormal
-        with the exact product's sign."""
-        assert sign_criterion_equivalence(t, t2, 1, 1) == (True, True)
+        """t * t2 or the whole psi product rounds to 0 here, so psi_value
+        returns the smallest subnormal with the exact product's sign."""
         assert t * t2 * (t - 2) * (t2 + 2) == 0.0
         assert psi_value(t, t2, 1, 1) == math.ulp(0.0)
         assert psi_value(t, -t2, 1, 1) == -math.ulp(0.0)

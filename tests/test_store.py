@@ -157,16 +157,15 @@ class TestCsvRoundTrip:
 
     def test_wrong_header(self):
         with pytest.raises(SchemaError):
-            from_csv_text("# frobsep-trace-table label=x conductor=1 genus=1 "
-                          "provenance=computed\np,good,count\n")
+            from_csv_text("# frobsep-trace-table label=x conductor=1 genus=1\n"
+                          "p,good,count\n")
 
     def test_missing_metadata(self):
         with pytest.raises(SchemaError):
             from_csv_text("p,good,count_fp,a_p,lpoly\n2,1,5,-2,\n")
 
     def test_weil_violation_names_line(self):
-        text = ("# frobsep-trace-table label=x conductor=35 genus=1 "
-                "provenance=imported\n"
+        text = ("# frobsep-trace-table label=x conductor=35 genus=1\n"
                 "p,good,count_fp,a_p,lpoly\n"
                 "2,1,5,-2,\n"
                 "3,1,-6,10,\n")
@@ -174,8 +173,7 @@ class TestCsvRoundTrip:
             from_csv_text(text)
 
     def test_ordering_violation(self):
-        text = ("# frobsep-trace-table label=x conductor=35 genus=1 "
-                "provenance=imported\n"
+        text = ("# frobsep-trace-table label=x conductor=35 genus=1\n"
                 "p,good,count_fp,a_p,lpoly\n"
                 "5,1,5,1,\n"
                 "3,1,5,-1,\n")
@@ -192,11 +190,6 @@ class TestJoin:
         assert compute_range(c11, 250) == whole
         assert compute_range(c11, 250, cache_dir=tmp_path) == whole    # counted
         assert compute_range(c11, 250, cache_dir=tmp_path) == whole    # read back
-        path = tmp_path / "11a1.b0000.csv"
-        path.write_text(path.read_text().replace("provenance=computed",
-                                                 "provenance=imported", 1))
-        assert compute_range(c11, 250, cache_dir=tmp_path) == replace(
-            whole, provenance="imported")
 
     def test_cached_lpoly_bucket_between_plain_ones(self, g2b, tmp_path, monkeypatch):
         ceilings = {"fp2_ceiling": 200 ** 2}
@@ -279,6 +272,23 @@ class TestCache:
         assert compute_range(c11, 199, cache_dir=tmp_path) == truth
         assert " model=" in path.read_text().splitlines()[0]
 
+    @pytest.mark.parametrize("tag", ["computed", "imported"])
+    def test_bucket_with_provenance_tag_is_read(self, c11, tmp_path, monkeypatch,
+                                                tag):
+        # files written before the tag was dropped still load, uncounted
+        monkeypatch.setattr(store, "CACHE_BUCKET", 100)
+        truth = compute_range(c11, 199, cache_dir=tmp_path)
+        for path in tmp_path.iterdir():
+            self._rewrite_bucket(path, lambda lines: [
+                lines[0].replace(" model=", f" provenance={tag} model=", 1),
+                *lines[1:]])
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("cached bucket was counted again")
+
+        monkeypatch.setattr(store, "count_points_many", no_count)
+        assert compute_range(c11, 199, cache_dir=tmp_path) == truth
+
     def test_bucket_missing_a_prime_is_recounted(self, c11, tmp_path,
                                                  monkeypatch):
         import frobsep.store as store_mod
@@ -309,7 +319,7 @@ class TestValidation:
         assert sieve_primes(1).tolist() == []
 
 
-META = "# frobsep-trace-table label=x conductor=35 genus={g} provenance=imported"
+META = "# frobsep-trace-table label=x conductor=35 genus={g}"
 
 
 class TestMetadataLine:
@@ -393,8 +403,7 @@ def genus1_tables(draw):
     a_p = [draw(st.integers(-math.isqrt(4 * p), math.isqrt(4 * p))) if ok else 0
            for p, ok in zip(primes, good)]
     return TraceTable(curve_label="h", conductor=7, genus=1, p=primes, a_p=a_p,
-                      good=good, provenance=draw(st.sampled_from(["computed",
-                                                                  "imported"])))
+                      good=good)
 
 
 class TestColumnProperties:
