@@ -7,7 +7,7 @@ from .kernels import (KernelParams, KernelSumReport, bach_kernel,
                       bach_kernel_contour, chebyshev_sum, prime_power_tail,
                       weighted_sum)
 from .separation import (SeparationRecord, least_separating_prime, psi_value,
-                         separation_scan)
+                         separation_scan, windowed_search)
 from .store import TraceTable, compute_range, export_csv, import_csv
 from .symplectic import (AnalyticMetadata, DominantWeight, TorusPoint,
                          VirtualCharacter, adams2, char_value, dimension,
@@ -25,5 +25,5 @@ __all__ = [
     "export_csv", "fs_indicator", "import_csv", "inner_product",
     "least_separating_prime", "prime_power_tail", "psi_character",
     "psi_value", "separation_scan", "trivial_multiplicity",
-    "unitarized_eigenangles", "weighted_sum",
+    "unitarized_eigenangles", "weighted_sum", "windowed_search",
 ]

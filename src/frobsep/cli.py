@@ -152,7 +152,7 @@ def _cmd_delta(args, config: RunConfig, out) -> int:
         if args.g is None:
             raise ValueError("delta needs --g (or --character)")
         if args.g2 is None:
-            raise FrobsepError("delta needs --g2 (or --character)")
+            raise ValueError("delta needs --g2 (or --character)")
         chi = symplectic.psi_character(args.g, args.g2)
         name = f"psi[g={args.g},g'={args.g2}]"
     quad = symplectic.trivial_multiplicity(chi)
@@ -205,10 +205,25 @@ def _cmd_sum(args, config: RunConfig, out) -> int:
     return EXIT_OK
 
 
+def _widest_tables(config: RunConfig):
+    """`table(curve, width)` for the windowed search: each curve keeps its
+    widest table and is recounted only when a window needs a wider one."""
+    widest: dict[CurveSpec, tuple[int, store.TraceTable]] = {}
+
+    def table(curve: CurveSpec, width: int) -> store.TraceTable:
+        if widest.get(curve, (-1,))[0] < width:
+            widest[curve] = (width, _table(curve, width, config))
+        return widest[curve][1]
+
+    return table
+
+
 def _cmd_separate(args, config: RunConfig, out) -> int:
-    table_a = _table(CurveSpec.from_path(args.curve_a), args.pmax, config)
-    table_b = _table(CurveSpec.from_path(args.curve_b), args.pmax, config)
-    record = separation.least_separating_prime(table_a, table_b, args.pmax)
+    curve_a = CurveSpec.from_path(args.curve_a)
+    curve_b = CurveSpec.from_path(args.curve_b)
+    store.check_p_max(args.pmax, config.count_ceiling)
+    record = separation.windowed_search(curve_a, curve_b, _widest_tables(config),
+                                        args.pmax)
     print(separation.CSV_HEADER, file=out)
     print(record.csv_row(), file=out)
     if record.least_prime is None:
@@ -221,16 +236,10 @@ def _cmd_scan(args, config: RunConfig, out) -> int:
     with open(args.corpus, "r", encoding="utf-8") as fh, parsing(args.corpus):
         names = [(str(a), str(b)) for a, b in json.load(fh)["pairs"]]
     base = os.path.dirname(os.path.abspath(args.corpus))
-    tables: dict[CurveSpec, store.TraceTable] = {}   # each distinct curve counted once
-
-    def table_of(name):
-        curve = CurveSpec.from_path(os.path.join(base, name))
-        if curve not in tables:
-            tables[curve] = _table(curve, args.pmax, config)
-        return tables[curve]
-
-    pairs = [(table_of(file_a), table_of(file_b)) for file_a, file_b in names]
-    records = separation.separation_scan(pairs, args.pmax)
+    pairs = [tuple(CurveSpec.from_path(os.path.join(base, name)) for name in pair)
+             for pair in names]
+    store.check_p_max(args.pmax, config.count_ceiling)
+    records = separation.separation_scan(pairs, _widest_tables(config), args.pmax)
     out.write(separation.scan_csv(records))
     searched = [r for r in records if not r.note.startswith("skipped")]
     if any(r.least_prime is None for r in searched):

@@ -3,7 +3,10 @@
 A good prime separates a pair of abelian varieties when the two Frobenius
 traces are nonzero and of opposite sign; the separator character is
 positive there and nowhere else inside the open Weil box, so corpus scans
-probe the least such prime against log(2 N N')^2.
+probe the least such prime against log(2 N N')^2.  That bound (with
+constant 1) is also the first window of the search: primes are counted to
+it, then to 8 times it, and so on up to the search bound, and the search
+stops at the first window that holds a separating prime.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .errors import FrobsepError, WeilViolation
 from .store import TraceTable, sieve_primes
 
 CSV_HEADER = "labelA,labelB,N,N2,least_prime,log_bound,ratio"
+WINDOW_GROWTH = 8       # each search window is this many times the last
 
 
 @dataclass(frozen=True)
@@ -69,33 +73,73 @@ def least_separating_prime(table_a: TraceTable, table_b: TraceTable,
     hits = np.flatnonzero(
         table_a.good[rows_a] & table_b.good[rows_b]
         & (np.sign(table_a.a_p[rows_a]) * np.sign(table_b.a_p[rows_b]) < 0))
-    return _record(table_a, table_b,
+    return _record((table_a.curve_label, table_a.conductor),
+                   (table_b.curve_label, table_b.conductor),
                    found=int(primes[hits[0]]) if hits.size else None)
 
 
-def _record(table_a: TraceTable, table_b: TraceTable, *,
+def _record(a: tuple[str, int], b: tuple[str, int], *,
             found: int | None = None, note: str = "") -> SeparationRecord:
-    bound = log_bound(table_a.conductor, table_b.conductor)
+    """Record of the pair of (label, conductor) `a` and `b`."""
+    bound = log_bound(a[1], b[1])
     return SeparationRecord(
-        label_a=table_a.curve_label, label_b=table_b.curve_label,
-        conductor_a=table_a.conductor, conductor_b=table_b.conductor,
+        label_a=a[0], label_b=b[0], conductor_a=a[1], conductor_b=b[1],
         least_prime=found, log_bound=bound,
         ratio=None if found is None else found / bound, note=note)
 
 
-def separation_scan(pairs, p_max: int) -> list[SeparationRecord]:
-    """One record per table pair; identical labels are skipped with a note,
-    per-pair `FrobsepError`s are recorded and the scan continues; any other
-    exception is a bug and propagates."""
-    records = []
-    for table_a, table_b in pairs:
-        if table_a.curve_label == table_b.curve_label:
-            records.append(_record(table_a, table_b, note="skipped: identical labels"))
-            continue
+def _key(curve) -> tuple[str, int]:
+    return curve.label, curve.conductor
+
+
+def search_windows(conductor_a: int, conductor_b: int, p_max: int) -> list[int]:
+    """Prime bounds a search tries in turn: ceil(log(2 N N')^2), then
+    WINDOW_GROWTH times the last, and p_max last of all."""
+    widths = []
+    width = math.ceil(log_bound(conductor_a, conductor_b))
+    while width < p_max:
+        widths.append(width)
+        width *= WINDOW_GROWTH
+    return widths + [p_max]
+
+
+def windowed_search(curve_a, curve_b, table, p_max: int, *,
+                    note_errors: bool = False) -> SeparationRecord:
+    """`least_separating_prime` of the pair to p_max, counting no further
+    than the first search window that holds a separating prime.
+
+    `table(curve, width)` returns a table of `curve` (anything with a
+    `label` and a `conductor`) covering every prime <= width.  An error
+    from `table` propagates; with `note_errors`, a `FrobsepError` from the
+    search itself becomes the record's note instead.
+    """
+    for width in search_windows(curve_a.conductor, curve_b.conductor, p_max):
+        table_a, table_b = table(curve_a, width), table(curve_b, width)
         try:
-            records.append(least_separating_prime(table_a, table_b, p_max))
-        except FrobsepError as exc:  # data errors are collected, scan continues
-            records.append(_record(table_a, table_b, note=f"error: {exc}"))
+            record = least_separating_prime(table_a, table_b, width)
+        except FrobsepError as exc:
+            if not note_errors:
+                raise
+            return _record(_key(curve_a), _key(curve_b), note=f"error: {exc}")
+        if record.least_prime is not None:
+            break
+    return record
+
+
+def separation_scan(pairs, table, p_max: int) -> list[SeparationRecord]:
+    """One `windowed_search` record per curve pair, with tables from
+    `table(curve, width)`.  Identical labels are skipped with a note and
+    count nothing; a pair's `FrobsepError` from the search is recorded and
+    the scan continues; an error from `table`, or any other exception,
+    propagates."""
+    records = []
+    for curve_a, curve_b in pairs:
+        if curve_a.label == curve_b.label:
+            records.append(_record(_key(curve_a), _key(curve_b),
+                                   note="skipped: identical labels"))
+            continue
+        records.append(windowed_search(curve_a, curve_b, table, p_max,
+                                       note_errors=True))
     return records
 
 

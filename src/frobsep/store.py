@@ -153,6 +153,14 @@ def _first_invalid_row(g, p, good, a_p, lpoly, count=None) -> tuple[int, str] | 
     return first, message.format(p[first])
 
 
+def check_p_max(p_max: int, ceiling: int) -> None:
+    """What `compute_range` asks of p_max before it counts anything."""
+    if p_max < 0:
+        raise ValueError(f"p_max must be >= 0, got {p_max}")
+    if p_max > ceiling:
+        raise CeilingExceeded(f"p_max={p_max} above counting ceiling {ceiling}")
+
+
 def compute_range(curve: CurveSpec, p_max: int, *,
                   with_lpoly: bool = False,
                   ceiling: int = DEFAULT_FP_CEILING,
@@ -166,14 +174,11 @@ def compute_range(curve: CurveSpec, p_max: int, *,
     CPU; more than the CPU count are never started.  Only genus 2 stores
     Euler factors, so `with_lpoly` is ignored for genus 1.
     """
-    if p_max < 0:
-        raise ValueError(f"p_max must be >= 0, got {p_max}")
+    check_p_max(p_max, ceiling)
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     with_lpoly = with_lpoly and curve.genus == 2
     workers = min(workers or os.cpu_count() or 1, os.cpu_count() or 1)
-    if p_max > ceiling:
-        raise CeilingExceeded(f"p_max={p_max} above counting ceiling {ceiling}")
     blocks = []
     for lo in range(0, p_max + 1, CACHE_BUCKET):
         hi = min(lo + CACHE_BUCKET - 1, p_max)

@@ -10,7 +10,7 @@ import pytest
 
 import frobsep
 import oracles
-from frobsep import CurveSpec, compute_range
+from frobsep import CurveSpec, compute_range, separation
 from frobsep.cli import main
 
 
@@ -330,7 +330,7 @@ class TestMalformedInput:
         (["delta", "--g", "3", "--g2", "1", "--character", "g3.json"], 1,
          "--g2 1 does not match the character's g=3"),
         (["delta"], 1, "delta needs --g (or --character)"),
-        (["delta", "--g", "1"], 2, "delta needs --g2 (or --character)"),
+        (["delta", "--g", "1"], 1, "delta needs --g2 (or --character)"),
         (["count", "curve.json", "--pmax", "-5"], 1, "p_max must be >= 0, got -5"),
         (["separate", "curve.json", "curve.json", "--pmax", "-1"], 1,
          "p_max must be >= 0, got -1"),
@@ -470,8 +470,8 @@ class TestCorruptCache:
         import frobsep.store as store_mod
 
         monkeypatch.setattr(store_mod, "CACHE_BUCKET", 100)
-        argv = ["--cache-dir", str(tmp_path), "separate", str(curve_json["11a1"]),
-                str(curve_json["37a1"]), "--pmax", "100"]
+        argv = ["--cache-dir", str(tmp_path), "count", str(curve_json["11a1"]),
+                "--pmax", "100"]
         assert run_cli(argv)[0] == 0
         path = tmp_path / "11a1.b0000.csv"
         lines = path.read_text().splitlines()
@@ -484,8 +484,8 @@ class TestCorruptCache:
         import frobsep.store as store_mod
 
         monkeypatch.setattr(store_mod, "CACHE_BUCKET", 100)
-        argv = ["--cache-dir", str(tmp_path), "separate", str(curve_json["11a1"]),
-                str(curve_json["37a1"]), "--pmax", p_max]
+        argv = ["--cache-dir", str(tmp_path), "count", str(curve_json["11a1"]),
+                "--pmax", p_max]
         assert run_cli(argv)[0] == 0
         path = tmp_path / "11a1.b0000.csv"
         path.write_text(path.read_text().replace(" label=11a1 ", " label=other ", 1))
@@ -493,3 +493,143 @@ class TestCorruptCache:
         assert run_cli(argv) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith(f"error: cache file {path} ") and "label" in err
+
+    def test_separate_reaching_a_corrupt_bucket_is_conflict(
+            self, curve_json, tmp_path, monkeypatch, capsys, c11):
+        """The 11a1 clone pair never separates, so its search reads the
+        cached bucket of primes below 100 on its last window."""
+        import frobsep.store as store_mod
+
+        monkeypatch.setattr(store_mod, "CACHE_BUCKET", 100)
+        clone = tmp_path / "clone.json"
+        clone.write_text(json.dumps({**c11.to_json(), "label": "11a1clone"}),
+                         encoding="utf-8")
+        cache = tmp_path / "cache"
+        argv = ["--cache-dir", str(cache), "separate", str(curve_json["11a1"]),
+                str(clone), "--pmax", "150"]
+        assert run_cli(argv)[0] == 3
+        path = cache / "11a1.b0000.csv"
+        path.write_text(path.read_text().replace(" label=11a1 ", " label=other ", 1))
+        capsys.readouterr()
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cache file {path} ") and "label" in err
+
+
+class TestWindowedSearch:
+    """`separate` and `scan` count to log(2 N N')^2, then to 8 times the
+    last window, and stop at the first window that holds a separating
+    prime; their records equal `least_separating_prime` over tables
+    counted to --pmax."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Primes handed to the counter, the widths each curve's table is
+        built for, and the cache files read."""
+        from frobsep import store
+
+        seen = {"primes": [], "widths": {}, "imports": []}
+        count, compute, read = (store.count_points_many, store.compute_range,
+                                store.import_csv)
+
+        def counting(curve, primes, **kw):
+            seen["primes"] += list(primes)
+            return count(curve, primes, **kw)
+
+        def computing(curve, p_max, **kw):
+            seen["widths"].setdefault(curve.label, []).append(p_max)
+            return compute(curve, p_max, **kw)
+
+        def reading(path, *args):
+            seen["imports"].append(path)
+            return read(path, *args)
+
+        monkeypatch.setattr(store, "count_points_many", counting)
+        monkeypatch.setattr(store, "compute_range", computing)
+        monkeypatch.setattr(store, "import_csv", reading)
+        return seen
+
+    @staticmethod
+    def curve_file(tmp_path, curve, **changes):
+        path = tmp_path / f"{changes.get('label', curve.label)}.json"
+        path.write_text(json.dumps({**curve.to_json(), **changes}), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def oracle(files, p_max):
+        from frobsep import least_separating_prime
+
+        a, b = (compute_range(CurveSpec.from_path(f), p_max) for f in files)
+        return least_separating_prime(a, b, p_max)
+
+    @pytest.mark.parametrize("command", ["separate", "scan"])
+    def test_counting_stops_at_first_window(self, command, curve_json, tmp_path,
+                                            monkeypatch, recorded):
+        from frobsep import store
+
+        monkeypatch.setattr(store, "CACHE_BUCKET", 1000)
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        files = [str(curve_json["11a1"]), str(curve_json["37a1"])]
+        for path in files:                                # a warm cache
+            assert run_cli([*cache, "count", path, "--pmax", "3000"])[0] == 0
+        assert len(list((tmp_path / "cache").iterdir())) == 6
+        recorded["primes"].clear()
+        recorded["imports"].clear()
+        if command == "scan":
+            corpus = tmp_path / "corpus.json"
+            corpus.write_text(json.dumps({"pairs": [files]}), encoding="utf-8")
+            argv = ["scan", str(corpus)]
+        else:
+            argv = ["separate", *files]
+        code, text = run_cli([*cache, *argv, "--pmax", "3000"])
+        assert code == 0
+        assert text.splitlines()[1] == "11a1,37a1,11,37,5,44.9162727475,0.111318230435"
+        assert recorded["primes"] and max(recorded["primes"]) <= 45
+        assert recorded["imports"] == []
+
+    def test_widening_and_no_hit_match_full_count(self, c11, c37, tmp_path,
+                                                  recorded):
+        """Declared conductor 1 gives first window ceil(log(2)^2) = 1, so
+        the windows 1, 8, 64, 512 are walked; the clone pair never
+        separates and is counted to --pmax."""
+        a = self.curve_file(tmp_path, c11, label="a", conductor=1)
+        b = self.curve_file(tmp_path, c37, label="b", conductor=1)
+        clone = self.curve_file(tmp_path, c11, label="clone", conductor=1)
+        code, text = run_cli(["separate", a, b, "--pmax", "3000"])
+        assert (code, text.splitlines()[1]) == (0, self.oracle([a, b], 3000).csv_row())
+        assert recorded["widths"] == {"a": [1, 8], "b": [1, 8]}
+
+        recorded["widths"].clear()
+        code, text = run_cli(["separate", a, clone, "--pmax", "3000"])
+        assert code == 3
+        assert text.splitlines()[1:] == [self.oracle([a, clone], 3000).csv_row(),
+                                         "# no separating prime <= 3000"]
+        assert recorded["widths"] == {"a": [1, 8, 64, 512, 3000],
+                                      "clone": [1, 8, 64, 512, 3000]}
+
+        recorded["widths"].clear()
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"pairs": [[a, b], [a, clone], [b, a]]}),
+                          encoding="utf-8")
+        code, text = run_cli(["scan", str(corpus), "--pmax", "3000"])
+        assert code == 3
+        assert text == separation.scan_csv(
+            [self.oracle(pair, 3000) for pair in ([a, b], [a, clone], [b, a])])
+        # each curve is counted once per width, and only to widen its table
+        assert recorded["widths"] == {"a": [1, 8, 64, 512, 3000], "b": [1, 8],
+                                      "clone": [1, 8, 64, 512, 3000]}
+
+    @pytest.mark.parametrize("command", ["separate", "scan"])
+    def test_pmax_above_ceiling_counts_nothing(self, command, curve_json, tmp_path,
+                                               capsys, recorded):
+        files = [str(curve_json["11a1"]), str(curve_json["37a1"])]
+        if command == "scan":
+            corpus = tmp_path / "corpus.json"
+            corpus.write_text(json.dumps({"pairs": [files]}), encoding="utf-8")
+            argv = ["scan", str(corpus)]
+        else:
+            argv = ["separate", *files]
+        assert run_cli(["--count-ceiling", "100", *argv, "--pmax", "101"]) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: p_max=101 above counting ceiling 100\n"
+        assert recorded["primes"] == [] and recorded["widths"] == {}

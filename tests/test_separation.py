@@ -1,14 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobsep import (KernelParams, least_separating_prime, psi_value,
-                     separation_scan, weighted_sum)
+from frobsep import (CurveSpec, KernelParams, least_separating_prime,
+                     psi_value, separation_scan, weighted_sum)
 from frobsep.errors import IncompleteTable, WeilViolation
 from frobsep.evaluators import PsiPairEvaluator
-from frobsep.separation import CSV_HEADER, scan_csv
-from frobsep.store import TraceTable
+from frobsep.separation import (CSV_HEADER, scan_csv, search_windows,
+                                windowed_search)
+from frobsep.store import TraceTable, sieve_primes
 
 
 def synthetic_table(label, conductor, traces):
@@ -90,24 +92,36 @@ class TestLeastSeparatingPrime:
             least_separating_prime(t11, t37, 10 ** 6)
 
 
+def table_of(*tables):
+    """`table(curve, width)` serving fixed tables by label."""
+    by_label = {t.curve_label: t for t in tables}
+    return lambda curve, width: by_label[curve.label]
+
+
 class TestScan:
     def test_empty_corpus(self):
-        assert separation_scan([], 100) == []
+        assert separation_scan([], table_of(), 100) == []
         assert scan_csv([]).splitlines()[0] == CSV_HEADER
 
-    def test_identical_labels_skipped(self, t11):
-        records = separation_scan([(t11, t11)], 100)
+    def test_identical_labels_skipped(self, c11, t11):
+        records = separation_scan([(c11, c11)], table_of(t11), 100)
         assert records[0].note.startswith("skipped")
         assert records[0].least_prime is None
 
-    def test_error_collected_and_scan_continues(self, t11, t37):
+    def test_error_collected_and_scan_continues(self, c11, c37, t11, t37):
         short = TraceTable(curve_label="short", conductor=3, genus=1,
                            p=t37.p[:2], a_p=t37.a_p[:2], good=t37.good[:2])
-        records = separation_scan([(t11, short), (t11, t37)], 2000)
+        c_short = CurveSpec.elliptic("short", c37.a_invariants, 3)
+        records = separation_scan([(c11, c_short), (c11, c37)],
+                                  table_of(t11, t37, short), 2000)
         assert records[0].note.startswith("error: short: table lacks prime")
         assert records[1].least_prime == 5
 
-    def test_programming_error_propagates(self, t11, t37, monkeypatch):
+    def test_table_error_propagates(self, c11, c37, t11):
+        with pytest.raises(KeyError):
+            separation_scan([(c11, c37)], table_of(t11), 100)
+
+    def test_programming_error_propagates(self, c11, c37, t11, t37, monkeypatch):
         from frobsep import separation
 
         def broken(*args):
@@ -115,14 +129,65 @@ class TestScan:
 
         monkeypatch.setattr(separation, "least_separating_prime", broken)
         with pytest.raises(TypeError, match="bug inside a pair"):
-            separation_scan([(t11, t37)], 100)
+            separation_scan([(c11, c37)], table_of(t11, t37), 100)
 
-    def test_csv_summary_row(self, t11, t37):
-        records = separation_scan([(t11, t37)], 2000)
+    def test_csv_summary_row(self, c11, c37, t11, t37):
+        records = separation_scan([(c11, c37)], table_of(t11, t37), 2000)
         text = scan_csv(records)
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[-1].startswith("# max_ratio=")
+
+
+class TestWindowedSearch:
+    def test_windows(self):
+        # log(2 * 11 * 37)^2 = 44.9
+        assert search_windows(11, 37, 3000) == [45, 360, 2880, 3000]
+        assert search_windows(11, 37, 45) == [45]
+        assert search_windows(11, 37, 10) == [10]
+        assert search_windows(1, 1, 100) == [1, 8, 64, 100]
+
+    def test_stops_at_first_hit(self, c11, c37, t11, t37):
+        widths = []
+        serve = table_of(t11, t37)
+        record = windowed_search(
+            c11, c37, lambda curve, width: widths.append(width) or serve(curve, width),
+            3000)
+        assert record == least_separating_prime(t11, t37, 3000)
+        assert widths == [45, 45]
+
+    def test_search_error_raises_unless_noted(self, c11, c37, t11, t37):
+        short = TraceTable(curve_label="37a1", conductor=37, genus=1,
+                           p=t37.p[:2], a_p=t37.a_p[:2], good=t37.good[:2])
+        with pytest.raises(IncompleteTable):
+            windowed_search(c11, c37, table_of(t11, short), 100)
+        record = windowed_search(c11, c37, table_of(t11, short), 100,
+                                 note_errors=True)
+        assert record.least_prime is None
+        assert record.note == "error: 37a1: table lacks prime 5"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 400),
+           st.lists(st.sampled_from([None, -1, 0, 1]), min_size=78, max_size=78),
+           st.lists(st.sampled_from([None, -1, 0, 1]), min_size=78, max_size=78))
+    def test_matches_full_search(self, n_a, n_b, p_max, signs_a, signs_b):
+        """Random signs on the 78 primes below 400: the windowed record is
+        the full search's, and no window reaches past the one with the hit."""
+        primes = sieve_primes(400).tolist()
+        ta = synthetic_table("A", n_a, list(zip(primes, signs_a)))
+        tb = synthetic_table("B", n_b, list(zip(primes, signs_b)))
+        widths = []
+        serve = table_of(ta, tb)
+        record = windowed_search(
+            SimpleNamespace(label="A", conductor=n_a),
+            SimpleNamespace(label="B", conductor=n_b),
+            lambda curve, width: widths.append(width) or serve(curve, width),
+            p_max)
+        assert record == least_separating_prime(ta, tb, p_max)
+        windows = search_windows(n_a, n_b, p_max)
+        found = record.least_prime
+        last = windows[-1] if found is None else next(w for w in windows if w >= found)
+        assert widths == [w for w in windows[:windows.index(last) + 1] for _ in "ab"]
 
 
 class TestStoredPairInvariant:
