@@ -144,52 +144,27 @@ def _square_completed(f: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def _model_discriminant(genus: int, f: tuple[int, ...], h: tuple[int, ...]) -> int:
-    if genus == 1:
-        a1 = h[1] if len(h) > 1 else 0
-        a3 = h[0] if len(h) > 0 else 0
-        a2, a4, a6 = f[2], f[1], f[0]
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4)
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b2 * b4 * b6
-    return _binary_sextic_discriminant(_square_completed(f, h))
+    """Discriminant of F = 4f + h^2 as a form of degree 2g + 2; over 2^8 in genus 1."""
+    disc = _binary_form_discriminant(_square_completed(f, h)[:2 * genus + 3])
+    return disc if genus == 2 else disc // 256
 
 
-def _binary_sextic_discriminant(coeffs: list[int]) -> int:
-    """Discriminant of a formal-degree-6 binary form, exact integers.
+def _binary_form_discriminant(coeffs) -> int:
+    """Discriminant of the binary form sum a_i x^i y^(n-i), n = len(coeffs) - 1.
 
-    Vanishes mod p exactly when the reduced form has a repeated projective
-    root, i.e. when the completed-square model is singular (p odd).  Degree
-    drops are handled by the SL2-invariance of the form discriminant:
-    translate until the constant term is nonzero, then invert x -> 1/x.
-    Degree 6 is then -Res(F, F') / a6, the resultant by a fraction-free
-    determinant of the Sylvester matrix.
+    Exact integers, with no degree cases: for every binary form of degree n,
+    roots at infinity included, Res(F_x, F_y) = (-1)^(n(n-1)/2) n^(n-2) Disc(F)
+    (Gelfand-Kapranov-Zelevinsky, Discriminants, Resultants and
+    Multidimensional Determinants), and the resultant is a fraction-free
+    determinant of the (2n-2)-square Sylvester matrix.  For the completed
+    square of a model it vanishes mod an odd p exactly when the reduced form
+    has a repeated projective root, i.e. when the reduced model is singular.
     """
-    cs = list(coeffs) + [0] * (7 - len(coeffs))
-    if all(c == 0 for c in cs):
-        return 0
-    if cs[6] == 0:
-        if cs[0] == 0:
-            # a nonzero form of degree <= 5 vanishes at no more than 5 integers
-            cs = next(new for new in (_taylor_shift(cs, t) for t in range(1, 7))
-                      if new[0] != 0)
-        cs = cs[::-1]
-    deriv = [i * c for i, c in enumerate(cs)][1:]
-    top, dtop = cs[::-1], deriv[::-1]          # descending, as Sylvester rows
-    rows = ([[0] * i + top + [0] * (4 - i) for i in range(5)]
-            + [[0] * i + dtop + [0] * (5 - i) for i in range(6)])
-    return -_bareiss_det(rows) // cs[6]
-
-
-def _taylor_shift(cs: list[int], t: int) -> list[int]:
-    """Ascending coefficients of F(x + t), by repeated synthetic division."""
-    out = list(cs)
-    n = len(out)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += t * out[j + 1]
-    return out
+    n = len(coeffs) - 1
+    fx = [(k + 1) * coeffs[k + 1] for k in range(n)][::-1]   # descending rows
+    fy = [(n - k) * coeffs[k] for k in range(n)][::-1]
+    rows = [[0] * i + row + [0] * (n - 2 - i) for row in (fx, fy) for i in range(n - 1)]
+    return (-1) ** (n * (n - 1) // 2) * _bareiss_det(rows) // n ** (n - 2)
 
 
 def _bareiss_det(m: list[list[int]]) -> int:

@@ -36,13 +36,16 @@ class SchemaError(FrobsepError):
 
 
 class ValidationError(FrobsepError):
-    """A table entry violates an invariant (Weil bound, ordering, ...)."""
+    """A table entry violates an invariant (Weil bound, ordering, ...).
 
-    def __init__(self, message: str, line: int | None = None):
+    `line` is the input line it was read from; `row` the table row index.
+    """
+
+    def __init__(self, message: str, line: int | None = None, row: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
+        self.line, self.row = line, row
 
 
 @contextmanager

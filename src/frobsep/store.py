@@ -90,7 +90,7 @@ class TraceTable:
         invalid = _first_invalid_row(self.genus, self.p, self.good, self.a_p,
                                      self.lpoly)
         if invalid is not None:
-            raise ValidationError(invalid[1])
+            raise ValidationError(invalid[1], row=invalid[0])
 
     def __eq__(self, other):
         if not isinstance(other, TraceTable):
@@ -107,12 +107,11 @@ class TraceTable:
         return np.searchsorted(self.p, primes)
 
 
-def _first_invalid_row(g, p, good, a_p, lpoly, count=None) -> tuple[int, str] | None:
+def _first_invalid_row(g, p, good, a_p, lpoly) -> tuple[int, str] | None:
     """(row, message) of the first row that breaks an invariant, else None.
 
-    The Weil bound, the point count and the Euler factors are compared as
-    Python integers, so no int64 product can wrap.  `count` is the CSV's
-    #C(F_p) column.
+    The Weil bound and the Euler factors are compared as Python integers,
+    so no int64 product can wrap.
     """
     big_p, big_a = p.astype(object), a_p.astype(object)
     if lpoly is None:
@@ -142,9 +141,6 @@ def _first_invalid_row(g, p, good, a_p, lpoly, count=None) -> tuple[int, str] | 
             (stored & (shifted * shifted < 4 * big_p * c[1] * c[1]),
              "p={}: Euler factor violates (c2 + 2p)^2 >= 4p c1^2"),
         ]
-    if count is not None:
-        checks.insert(2, (good & (count.astype(object) != big_p + 1 - big_a),
-                          "p={}: a_p != p + 1 - #C(F_p)"))
     failing = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
     if not failing.size:
         return None
@@ -179,11 +175,11 @@ def compute_range(curve: CurveSpec, p_max: int, *,
         raise ValueError(f"workers must be >= 0, got {workers}")
     with_lpoly = with_lpoly and curve.genus == 2
     workers = min(workers or os.cpu_count() or 1, os.cpu_count() or 1)
+    every = sieve_primes(p_max)
     blocks = []
     for lo in range(0, p_max + 1, CACHE_BUCKET):
         hi = min(lo + CACHE_BUCKET - 1, p_max)
-        primes = sieve_primes(hi)
-        primes = primes[primes >= lo]
+        primes = every[(every >= lo) & (every <= hi)]
         if cache_dir is not None and hi == lo + CACHE_BUCKET - 1:
             blocks.append(_cached_bucket(curve, lo, primes, with_lpoly, ceiling,
                                          fp2_ceiling, cache_dir, workers))
@@ -306,6 +302,9 @@ def _parse_metadata(line: str) -> dict:
 def from_csv_text(text: str, model: str | None = None) -> TraceTable:
     """Table from CSV text; a row that breaks an invariant names its line.
 
+    Each row is parsed and its #C(F_p) column checked against a_p here; the
+    table's constructor checks every other invariant, once.
+
     With `model`, the text is a cache bucket for that fingerprint: one for
     another model is a conflict, and one without a fingerprint predates
     them and reads as holding no rows.
@@ -318,7 +317,9 @@ def from_csv_text(text: str, model: str | None = None) -> TraceTable:
         raise ConflictError(f"{meta['label']}: table built for model "
                             f"{meta['model']}, not {model}")
     width = 2 * meta["genus"] + 1
-    values = array.array("q")       # lineno, p, good, count_fp, a_p, lpoly per row
+    # lineno, p, good, count_fp, a_p, lpoly per row; count_fp is kept so
+    # that it too is parsed as int64 and an overflow there names itself
+    values = array.array("q")
     body = lines[2:] if model is None or "model" in meta else []
     for lineno, raw in enumerate(body, start=3):
         if not raw:
@@ -337,20 +338,24 @@ def from_csv_text(text: str, model: str | None = None) -> TraceTable:
             factor = [int(c) for c in lpoly.split(";")] if lpoly else [0] * width
             if len(factor) != width:
                 raise ValidationError(f"p={p}: L-polynomial mismatch", lineno)
-            values.extend([lineno, int(p), int(good), int(count or 0), int(a_p or 0),
-                           *factor])
+            row = [int(p), int(good), int(count or 0), int(a_p or 0)]
+            values.extend([lineno, *row, *factor])
         except ValueError as exc:
             raise ValidationError(f"malformed row: {exc}", lineno) from None
         except OverflowError:
             raise ValidationError("value does not fit in int64", lineno) from None
+        if good == "1" and row[2] != row[0] + 1 - row[3]:
+            raise ValidationError(f"p={row[0]}: a_p != p + 1 - #C(F_p)", lineno)
     cols = np.frombuffer(values, dtype=np.int64).reshape(-1, 5 + width)
-    linenos, p, good, count, a_p = cols[:, :5].T
-    good = good == 1
-    invalid = _first_invalid_row(meta["genus"], p, good, a_p, cols[:, 5:], count)
-    if invalid is not None:
-        raise ValidationError(invalid[1], int(linenos[invalid[0]]))
-    return TraceTable(curve_label=meta["label"], conductor=meta["conductor"],
-                      genus=meta["genus"], p=p, a_p=a_p, good=good, lpoly=cols[:, 5:])
+    linenos, p, good, _, a_p = cols[:, :5].T
+    try:
+        return TraceTable(curve_label=meta["label"], conductor=meta["conductor"],
+                          genus=meta["genus"], p=p, a_p=a_p, good=good == 1,
+                          lpoly=cols[:, 5:])
+    except ValidationError as exc:
+        if exc.row is None:
+            raise
+        raise ValidationError(str(exc), int(linenos[exc.row])) from None
 
 
 def export_csv(table: TraceTable, path: str | os.PathLike,

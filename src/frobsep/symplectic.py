@@ -103,9 +103,9 @@ def power_map(e: np.ndarray, r: int) -> np.ndarray:
     Newton's identities turn e into the power sums p_k(x), the powers
     have p_m(x^r) = p_{rm}(x), and Newton's identities run backwards give
     their elementary symmetric functions.  The error grows with r * 2g:
-    against the angle route at 200 random points and r <= 17 it is at most
-    2.7e-14 at g = 1, 6.2e-12 at g = 2 and 1.9e-9 at g = 3.  Evaluators
-    only call it with g <= 2.
+    against the angle route at 3 x 1000 random points and r <= 17 it is at
+    most 3.7e-14 at g = 1, 2.8e-11 at g = 2 and 3.3e-9 at g = 3.
+    Evaluators only call it with g <= 2.
     """
     if r == 1:
         return e

@@ -388,6 +388,17 @@ def tail_double_sum(kind, tables, x: float, a: float) -> float:
     return total
 
 
+def weierstrass_discriminant(a_invariants) -> int:
+    """Discriminant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 through
+    sympy: that of the cubic 4f + h^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, over 16."""
+    import sympy
+
+    a1, a2, a3, a4, a6 = (int(a) for a in a_invariants)
+    x = sympy.Symbol("x")
+    cubic = 4 * (x ** 3 + a2 * x ** 2 + a4 * x + a6) + (a1 * x + a3) ** 2
+    return int(sympy.discriminant(sympy.Poly(cubic, x))) // 16
+
+
 def sextic_discriminant(coeffs) -> int:
     """Binary-form discriminant of a formal sextic through sympy.
 

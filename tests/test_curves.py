@@ -346,6 +346,35 @@ class TestCurveSpec:
     def test_known_discriminant(self, c11):
         assert c11.discriminant == -161051   # -11^5
 
+    # genus-1 models of the seed-7 benchmark scan corpus and their
+    # discriminants, frozen as literals from the b-invariant formula
+    FROZEN_GENUS1 = [
+        ("s7-0", (1, -3, 0, 1), (), 1296),
+        ("s7-1", (8, -4, 0, 1), (), -23552),
+        ("s7-2", (-8, -4, 0, 1), (1,), -21851),
+        ("s7-3", (-2, -4, 1, 1), (1,), 5157),
+        ("s7-4", (9, -4, -1, 1), (0, 1), -22733),
+        ("s7-5", (-8, -2, -1, 1), (0, 1), -30772),
+        ("s7-6", (4, -3, 1, 1), (0, 1), -9779),
+        ("s7-7", (8, 5, -1, 1), (), -46256),
+    ]
+
+    def test_frozen_genus1_discriminants(self):
+        for label, f, h, disc in self.FROZEN_GENUS1:
+            curve = CurveSpec(label=label, genus=1, f=f, h=h, conductor=1)
+            assert curve.discriminant == disc, label
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-30, 30), min_size=5, max_size=5))
+    def test_genus1_discriminant_matches_sympy_oracle(self, a_invariants):
+        """Against the discriminant of the cubic 4f + h^2, over 16."""
+        want = oracles.weierstrass_discriminant(a_invariants)
+        if want == 0:
+            with pytest.raises(ValidationError, match="zero discriminant"):
+                CurveSpec.elliptic("e", a_invariants, 1)
+        else:
+            assert CurveSpec.elliptic("e", a_invariants, 1).discriminant == want
+
     @pytest.mark.parametrize("doc, message", [
         ({"label": "x"}, "missing field 'genus'"),
         ({"label": "x", "genus": "two", "conductor": 11, "model": {"f": [1]}}, "'two'"),
@@ -369,12 +398,12 @@ class TestCurveSpec:
     ]
     FROZEN_FORMS = [
         ([1, 2, 3, 4, 5, 6, 7], -157351936),
-        ([1, 0, 0, 0, 0, 1, 0], 3125),                 # a6 = 0: reversal
-        ([0, 1, 0, 0, 0, 1, 0], 256),                  # a6 = a0 = 0: shift by 1
-        ([0, -2, 2, 0, -1, 1, 0], -3888),              # root at 1: shift by 2
-        ([0, 10, -13, 4, -2, 1, 0], -11265100),        # roots 0, 1, 2: shift by 3
-        ([0, -42, 71, -31, 1, 1, 0], 3657830400),      # roots 0..3: shift by 4
-        ([0, 24, -50, 35, -10, 1, 0], 82944),          # roots 0..4: shift by 5
+        ([1, 0, 0, 0, 0, 1, 0], 3125),                 # root at infinity
+        ([0, 1, 0, 0, 0, 1, 0], 256),                  # roots at 0 and infinity
+        ([0, -2, 2, 0, -1, 1, 0], -3888),              # roots at 0, 1 and infinity
+        ([0, 10, -13, 4, -2, 1, 0], -11265100),        # roots at 0, 1, 2 and infinity
+        ([0, -42, 71, -31, 1, 1, 0], 3657830400),      # roots at 0..3 and infinity
+        ([0, 24, -50, 35, -10, 1, 0], 82944),          # roots at 0..4 and infinity
         ([0, 0, 1, 0, -1, 0, 0], 0),                   # double root at 0
         ([0, 1, -3, 2, 0, 0, 0], 0),                   # double root at infinity
         ([0, 0, 0, 0, 0, 0, 1], 0),
@@ -388,7 +417,7 @@ class TestCurveSpec:
 
     def test_frozen_form_discriminants(self):
         for coeffs, disc in self.FROZEN_FORMS:
-            assert curves._binary_sextic_discriminant(coeffs) == disc, coeffs
+            assert curves._binary_form_discriminant(coeffs) == disc, coeffs
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-20, 20), min_size=7, max_size=7),
@@ -400,7 +429,7 @@ class TestCurveSpec:
             coeffs[0] = 0
         if shape == "zero":
             coeffs = [0] * 7
-        assert (curves._binary_sextic_discriminant(coeffs)
+        assert (curves._binary_form_discriminant(coeffs)
                 == oracles.sextic_discriminant(coeffs))
 
     def test_singular_model_rejected(self):

@@ -12,7 +12,7 @@ from frobsep import CurveSpec, compute_range, export_csv, import_csv
 from frobsep import store
 from frobsep.errors import (CeilingExceeded, ConflictError, SchemaError,
                             ValidationError)
-from frobsep.store import (TraceTable, bad_prime_sets, from_csv_text,
+from frobsep.store import (CSV_HEADER, TraceTable, bad_prime_sets, from_csv_text,
                            sieve_primes, to_csv_text)
 
 
@@ -180,6 +180,27 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError, match="ascending"):
             from_csv_text(text)
 
+    @pytest.mark.parametrize("row", ["5,1,5,1,", "5,1,-6,12,"])
+    def test_rows_checked_once(self, row, monkeypatch):
+        """The constructor's column check is the only one an import makes,
+        for a valid table and for one it rejects."""
+        calls = []
+        check = store._first_invalid_row
+        monkeypatch.setattr(store, "_first_invalid_row",
+                            lambda *args: calls.append(1) or check(*args))
+        text = "\n".join([META.format(g=1), CSV_HEADER, "3,1,3,1,", row]) + "\n"
+        try:
+            from_csv_text(text)
+        except ValidationError as exc:
+            assert str(exc) == "line 4: p=5: Weil bound violated"
+        assert len(calls) == 1
+
+    def test_error_without_row_names_no_line(self):
+        text = "\n".join([META.format(g=1).replace("=x", "=x/y"), CSV_HEADER,
+                          "3,1,3,1,"]) + "\n"
+        with pytest.raises(ValidationError, match="^label 'x/y' not filesystem-safe$"):
+            from_csv_text(text)
+
 
 class TestJoin:
     """Buckets are joined in ascending order into the table one count gives."""
@@ -187,7 +208,11 @@ class TestJoin:
     def test_buckets_equal_one_count(self, c11, tmp_path, monkeypatch):
         whole = compute_range(c11, 250)
         monkeypatch.setattr(store, "CACHE_BUCKET", 100)
+        sieved = []
+        sieve = store.sieve_primes
+        monkeypatch.setattr(store, "sieve_primes", lambda n: sieved.append(n) or sieve(n))
         assert compute_range(c11, 250) == whole
+        assert sieved == [250]                  # once for all three buckets
         assert compute_range(c11, 250, cache_dir=tmp_path) == whole    # counted
         assert compute_range(c11, 250, cache_dir=tmp_path) == whole    # read back
 

@@ -83,6 +83,22 @@ class TestCharValue:
             sy.char_value(sy.DominantWeight(2, (1,)), sy.TorusPoint((0.3,)))
 
 
+class TestPowerMap:
+    # twice the worst error the power_map docstring quotes for each rank
+    TOLERANCE = {1: 8e-14, 2: 6e-11}
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_matches_angle_route(self, g):
+        """e(x^r) by Newton's identities against the coefficients of the
+        r-th power's folded angles, at 1000 random points and r <= 17."""
+        thetas = np.random.default_rng(0).uniform(0.0, math.pi, size=(1000, g))
+        e = sy._e_at_angles(thetas)
+        for r in range(1, 18):
+            want = sy._e_at_angles([sy.TorusPoint(tuple(t)).power(r).angles
+                                    for t in thetas])
+            assert np.abs(sy.power_map(e, r) - want).max() <= self.TOLERANCE[g], r
+
+
 class TestDimension:
     def test_small_table(self):
         assert sy.dimension(sy.DominantWeight(2, (1,))) == 4
