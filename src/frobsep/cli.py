@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import kernels, laurent, separation, store, symplectic
 from .curves import CurveSpec, DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING
@@ -28,28 +27,11 @@ EXIT_VALIDATION = 2
 EXIT_DOMAIN = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by every subcommand."""
-
-    cache_dir: str | None
-    kernel_a: float = kernels.DEFAULT_KERNEL_A
-    count_ceiling: int = DEFAULT_FP_CEILING
-    fp2_ceiling: int = DEFAULT_FP2_CEILING
-    parallelism: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.kernel_a <= 0.25:
-            raise ValueError(f"kernel a={self.kernel_a} outside (0, 1/4]")
-        if self.parallelism < 0:
-            raise ValueError(f"parallelism must be >= 0, got {self.parallelism}")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the CLI contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def _fmt(value: float) -> str:
@@ -104,26 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    cache = args.cache_dir or os.environ.get(store.CACHE_ENV_VAR) or None
-    return RunConfig(cache_dir=cache,
-                     kernel_a=args.kernel_a,
-                     count_ceiling=args.count_ceiling,
-                     fp2_ceiling=args.fp2_ceiling,
-                     parallelism=args.parallelism)
-
-
-def _table(curve: CurveSpec, p_max: int, config: RunConfig,
+def _table(curve: CurveSpec, p_max: int, args,
            with_lpoly: bool = False) -> store.TraceTable:
     return store.compute_range(
-        curve, p_max, with_lpoly=with_lpoly, ceiling=config.count_ceiling,
-        fp2_ceiling=config.fp2_ceiling, cache_dir=config.cache_dir,
-        workers=config.parallelism)
+        curve, p_max, with_lpoly=with_lpoly, ceiling=args.count_ceiling,
+        fp2_ceiling=args.fp2_ceiling, cache_dir=args.cache_dir,
+        workers=args.parallelism)
 
 
-def _cmd_count(args, config: RunConfig, out) -> int:
+def _cmd_count(args, out) -> int:
     curve = CurveSpec.from_path(args.curve)
-    table = _table(curve, args.pmax, config, with_lpoly=args.lpoly)
+    table = _table(curve, args.pmax, args, with_lpoly=args.lpoly)
     good = int(table.good.sum())
     print(f"curve {curve.label} genus {curve.genus} conductor {curve.conductor}",
           file=out)
@@ -139,7 +112,7 @@ def _cmd_count(args, config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_delta(args, config: RunConfig, out) -> int:
+def _cmd_delta(args, out) -> int:
     if args.character is not None:
         chi = symplectic.VirtualCharacter.from_path(args.character)
         name = f"chi[{os.path.basename(args.character)}]"
@@ -176,7 +149,7 @@ def _parse_x_ladder(text: str) -> list[float]:
     return values
 
 
-def _cmd_sum(args, config: RunConfig, out) -> int:
+def _cmd_sum(args, out) -> int:
     ladder = _parse_x_ladder(args.x)
     p_max = int(max(ladder))
     curve_a = CurveSpec.from_path(args.curve_a)   # checked even where unused
@@ -186,8 +159,8 @@ def _cmd_sum(args, config: RunConfig, out) -> int:
         if args.curve_b is None:
             raise FrobsepError("psi sums need two curves")
         evaluator = PsiPairEvaluator(
-            _table(curve_a, p_max, config),
-            _table(CurveSpec.from_path(args.curve_b), p_max, config))
+            _table(curve_a, p_max, args),
+            _table(CurveSpec.from_path(args.curve_b), p_max, args))
     else:
         chi = symplectic.VirtualCharacter.from_path(args.chi)
         specs = [curve_a]
@@ -195,34 +168,38 @@ def _cmd_sum(args, config: RunConfig, out) -> int:
             if args.curve_b is None:
                 raise FrobsepError("product-group characters need two curves")
             specs.append(CurveSpec.from_path(args.curve_b))
+        for g, curve in zip(chi.gs, specs):       # before anything is counted
+            if g != curve.genus:
+                raise ValueError(
+                    f"character rank {g} does not match genus of {curve.label}")
         evaluator = VirtualCharEvaluator(chi, *(
-            _table(curve, p_max, config, with_lpoly=True) for curve in specs))
+            _table(curve, p_max, args, with_lpoly=True) for curve in specs))
     print(kernels.KernelSumReport.CSV_HEADER, file=out)
     for x in ladder:
         report = kernels.weighted_sum(
-            evaluator, kernels.KernelParams(x=x, a=config.kernel_a))
+            evaluator, kernels.KernelParams(x=x, a=args.kernel_a))
         print(report.csv_row(), file=out)
     return EXIT_OK
 
 
-def _widest_tables(config: RunConfig):
+def _widest_tables(args):
     """`table(curve, width)` for the windowed search: each curve keeps its
     widest table and is recounted only when a window needs a wider one."""
     widest: dict[CurveSpec, tuple[int, store.TraceTable]] = {}
 
     def table(curve: CurveSpec, width: int) -> store.TraceTable:
         if widest.get(curve, (-1,))[0] < width:
-            widest[curve] = (width, _table(curve, width, config))
+            widest[curve] = (width, _table(curve, width, args))
         return widest[curve][1]
 
     return table
 
 
-def _cmd_separate(args, config: RunConfig, out) -> int:
+def _cmd_separate(args, out) -> int:
     curve_a = CurveSpec.from_path(args.curve_a)
     curve_b = CurveSpec.from_path(args.curve_b)
-    store.check_p_max(args.pmax, config.count_ceiling)
-    record = separation.windowed_search(curve_a, curve_b, _widest_tables(config),
+    store.check_p_max(args.pmax, args.count_ceiling)
+    record = separation.windowed_search(curve_a, curve_b, _widest_tables(args),
                                         args.pmax)
     print(separation.CSV_HEADER, file=out)
     print(record.csv_row(), file=out)
@@ -232,14 +209,14 @@ def _cmd_separate(args, config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(args, config: RunConfig, out) -> int:
+def _cmd_scan(args, out) -> int:
     with open(args.corpus, "r", encoding="utf-8") as fh, parsing(args.corpus):
         names = [(str(a), str(b)) for a, b in json.load(fh)["pairs"]]
     base = os.path.dirname(os.path.abspath(args.corpus))
     pairs = [tuple(CurveSpec.from_path(os.path.join(base, name)) for name in pair)
              for pair in names]
-    store.check_p_max(args.pmax, config.count_ceiling)
-    records = separation.separation_scan(pairs, _widest_tables(config), args.pmax)
+    store.check_p_max(args.pmax, args.count_ceiling)
+    records = separation.separation_scan(pairs, _widest_tables(args), args.pmax)
     out.write(separation.scan_csv(records))
     searched = [r for r in records if not r.note.startswith("skipped")]
     if any(r.least_prime is None for r in searched):
@@ -247,14 +224,14 @@ def _cmd_scan(args, config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_kernel_check(args, config: RunConfig, out) -> int:
+def _cmd_kernel_check(args, out) -> int:
     ys = [float(v) for v in args.y.split(",") if v]
     if not ys:
         raise ValueError("empty --y list")
     if not all(map(math.isfinite, [*ys, args.T])):
         raise ValueError("every y and T must be finite")
-    rows = [(y, kernels.bach_kernel(y, config.kernel_a),     # every check before output
-             kernels.bach_kernel_contour(y, config.kernel_a, args.T)) for y in ys]
+    rows = [(y, kernels.bach_kernel(y, args.kernel_a),     # every check before output
+             kernels.bach_kernel_contour(y, args.kernel_a, args.T)) for y in ys]
     print("y,closed,contour,abs_err", file=out)
     for y, closed, contour in rows:
         print(f"{_fmt(y)},{_fmt(closed)},{_fmt(contour)},{_fmt(abs(contour - closed))}",
@@ -277,23 +254,19 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not 0.0 < args.kernel_a <= 0.25:
+            parser.error(f"kernel a={args.kernel_a} outside (0, 1/4]")
+        if args.parallelism < 0:
+            parser.error(f"parallelism must be >= 0, got {args.parallelism}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args.cache_dir = args.cache_dir or os.environ.get(store.CACHE_ENV_VAR) or None
     try:
-        config = _config_from(args)
-    except ValueError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args, config, out)
+        return _COMMANDS[args.command](args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FrobsepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (FrobsepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -31,7 +31,6 @@ from .errors import (BadReduction, CeilingExceeded, NonUnitaryRoots,
 
 DEFAULT_FP_CEILING: Final = 2_000_000
 DEFAULT_FP2_CEILING: Final = 10_000          # bound on the field size p^2
-ANGLE_TRACE_TOL: Final = 1e-9
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -581,23 +580,64 @@ def unitarized_roots(lpoly, p: int) -> np.ndarray:
     return np.array(out)
 
 
+def _first_invalid_row(g, p, good, a_p, lpoly) -> tuple[int, str] | None:
+    """(row, message) of the first row of trace-table columns that breaks
+    an invariant, else None.  A stored Euler factor passes exactly when it
+    is a Weil polynomial.
+
+    The Weil bound and the Euler factors are compared as Python integers,
+    so no int64 product can wrap.
+    """
+    big_p, big_a = p.astype(object), a_p.astype(object)
+    if lpoly is None:
+        lpoly = np.zeros((len(p), 2 * g + 1), dtype=np.int64)
+    stored = lpoly.any(axis=1)
+    checks = [
+        (np.diff(p, prepend=0) <= 0, "primes not strictly ascending at p={}"),
+        (~good & ((a_p != 0) | stored), "bad prime {} carries trace data"),
+        (good & (big_a * big_a > 4 * g * g * big_p), "p={}: Weil bound violated"),
+        (stored & ((lpoly[:, 0] != 1) | (lpoly[:, 1] != -a_p)),
+         "p={}: L-polynomial mismatch"),
+    ]
+    if g == 1:
+        checks.append((stored & (lpoly[:, 2] != p), "p={}: constant term != p"))
+    elif stored.any():
+        # the factor is (1 - b T + p T^2)(1 - b' T + p T^2) with b, b' the
+        # roots of x^2 + c1 x + c2 - 2p, real and in [-2 sqrt p, 2 sqrt p];
+        # c1^2 <= 16p is the Weil bound above, as c1 = -a_p
+        c = lpoly.T.astype(object)
+        shifted = c[2] + 2 * big_p
+        checks += [
+            (stored & ((c[3] != big_p * c[1]) | (c[4] != big_p * big_p)),
+             "p={}: Euler factor breaks the functional equation"),
+            (stored & (4 * c[2] > c[1] * c[1] + 8 * big_p),
+             "p={}: Euler factor violates 4 c2 <= c1^2 + 8p"),
+            (stored & (shifted < 0), "p={}: Euler factor violates c2 + 2p >= 0"),
+            (stored & (shifted * shifted < 4 * big_p * c[1] * c[1]),
+             "p={}: Euler factor violates (c2 + 2p)^2 >= 4p c1^2"),
+        ]
+    failing = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    if not failing.size:
+        return None
+    first = int(failing[0])
+    message = next(msg for mask, msg in checks if mask[first])
+    return first, message.format(p[first])
+
+
 def _quadratic_angle(trace_sum: float, p: int) -> float:
     # one conjugate pair e^{+-i theta} with 2 sqrt(p) cos(theta) = trace_sum;
     # clamping the cosine lets boundary traces land on theta = 0 or pi
-    if trace_sum * trace_sum > 4.0 * p * (1.0 + 1e-12):
-        raise NonUnitaryRoots(
-            f"quadratic factor trace {trace_sum} outside the Weil interval")
     return math.acos(min(1.0, max(-1.0, trace_sum / (2.0 * math.sqrt(p)))))
 
 
 def unitarized_eigenangles(lpoly, p: int) -> tuple[float, ...]:
     """Angles theta_j in [0, pi] with the Euler factor's unitarized roots e^{+-i theta_j}.
 
-    Weil polynomials of degree 2 and 4 are split into real quadratic
-    factors through the palindromic resolvent, so the unitarized roots sit
-    on the circle by construction and near-double roots lose no accuracy;
-    the integer functional-equation constraints double as the corruption
-    check.  Genus is 1 or 2, so any other degree is invalid.
+    The factor must pass the trace table's exact integer test of a Weil
+    polynomial (`_first_invalid_row`), or `NonUnitaryRoots` carries that
+    test's message.  A degree-4 factor is then split into real quadratic
+    factors through the palindromic resolvent, so near-double roots lose no
+    accuracy.  Genus is 1 or 2, so any other degree is invalid.
     """
     coeffs = tuple(int(c) for c in lpoly)
     if not coeffs or coeffs[0] != 1:
@@ -605,24 +645,14 @@ def unitarized_eigenangles(lpoly, p: int) -> tuple[float, ...]:
     degree = len(coeffs) - 1
     if degree not in (2, 4):
         raise ValidationError(f"Euler factor degree must be 2 or 4, got {degree}")
+    row = np.array([coeffs], dtype=object)
+    invalid = _first_invalid_row(degree // 2, np.array([p], dtype=object),
+                                 np.ones(1, dtype=bool), -row[:, 1], row)
+    if invalid is not None:
+        raise NonUnitaryRoots(invalid[1])
     if degree == 2:
-        if coeffs[2] != p:
-            raise NonUnitaryRoots(f"constant term {coeffs[2]} != p={p}")
-        thetas = (_quadratic_angle(-coeffs[1], p),)
-    else:
-        c1, c2, c3, c4 = coeffs[1:]
-        if c4 != p * p or c3 != p * c1:
-            raise NonUnitaryRoots(
-                f"coefficients {coeffs} violate the degree-4 functional equation")
-        resolvent = c1 * c1 - 4 * (c2 - 2 * p)   # (beta - beta')^2, exact
-        if resolvent < 0:
-            raise NonUnitaryRoots(
-                f"complex quadratic traces: resolvent {resolvent} < 0")
-        gap = math.sqrt(resolvent)
-        thetas = tuple(sorted(
-            _quadratic_angle(b, p) for b in ((-c1 + gap) / 2.0, (-c1 - gap) / 2.0)))
-    a_norm = -coeffs[1] / math.sqrt(p)
-    trace = sum(2.0 * math.cos(t) for t in thetas)
-    if abs(trace - a_norm) > ANGLE_TRACE_TOL * max(1.0, abs(a_norm)):
-        raise NonUnitaryRoots(f"angle trace {trace} != normalized trace {a_norm}")
-    return thetas
+        return (_quadratic_angle(-coeffs[1], p),)
+    c1, c2 = coeffs[1:3]
+    gap = math.sqrt(c1 * c1 - 4 * (c2 - 2 * p))   # (beta - beta')^2 >= 0, exact
+    return tuple(sorted(
+        _quadratic_angle(b, p) for b in ((-c1 + gap) / 2.0, (-c1 - gap) / 2.0)))

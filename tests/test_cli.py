@@ -114,6 +114,25 @@ class TestSum:
                        encoding="utf-8")
         assert run_cli(["sum", str(bad), "--x", "100", "--chi", "trivial"])[0] == 2
 
+    def test_character_rank_checked_before_counting(self, curve_json, tmp_path,
+                                                    monkeypatch, capsys):
+        import frobsep.store as store_mod
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("compute_range called")
+
+        monkeypatch.setattr(store_mod, "compute_range", no_count)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        chi = tmp_path / "g2.json"
+        chi.write_text('{"g": 2, "terms": [{"lambda": [1], "coeff": 1}]}', encoding="utf-8")
+        code, text = run_cli(["--cache-dir", str(cache), "sum", str(curve_json["11a1"]),
+                              "--x", "1e5", "--chi", str(chi)])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: character rank 2 does not match genus of 11a1")
+        assert not any(cache.iterdir())
+
     def test_character_file(self, curve_json, tmp_path):
         # chi = V of the first curve: delta = 0, so main term is 0
         doc = {"g": 1, "terms": [{"lambda": [1], "coeff": 1}]}
@@ -343,6 +362,12 @@ class TestMalformedInput:
         # a finite T too high for the contour's windows is outside its domain
         (["kernel-check", "--y", "2", "--T", "1e12"], 2,
          "truncation height T=1000000000000.0 not finite and in [1000, 10000000]"),
+        # argparse's own errors name what is wrong
+        (["separate"], 1,
+         "the following arguments are required: curve_a, curve_b, --pmax"),
+        (["count", "curve.json"], 1, "the following arguments are required: --pmax"),
+        (["--parallelism", "abc", "delta", "--g", "1", "--g2", "1"], 1,
+         "argument --parallelism: invalid int value: 'abc'"),
     ], ids=["curve-missing-field", "curve-not-json", "curve-short-a-invariants",
             "curve-genus-not-int", "curve-genus-3", "curve-genus1-h-quadratic",
             "curve-genus2-f-degree-7", "curve-genus2-h-quartic",
@@ -353,7 +378,8 @@ class TestMalformedInput:
             "delta-g-mismatch", "delta-g2-mismatch", "delta-no-g", "delta-no-g2",
             "count-negative-pmax", "separate-negative-pmax",
             "sum-infinite-x", "kernel-check-nan-y", "kernel-check-infinite-y",
-            "kernel-check-nan-T", "kernel-check-infinite-T", "kernel-check-huge-T"])
+            "kernel-check-nan-T", "kernel-check-infinite-T", "kernel-check-huge-T",
+            "separate-missing-arguments", "count-missing-pmax", "parallelism-not-int"])
     def test_error_line_not_traceback(self, argv, code, message, tmp_path, capsys):
         for name, text in self.FILES.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
