@@ -16,6 +16,9 @@ import math
 import os
 import sys
 
+# numpy's OpenBLAS starts a thread per core at import; counting runs in worker
+# processes, and one BLAS thread makes start-up cheaper. A set value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import kernels, laurent, separation, store, symplectic
 from .curves import CurveSpec, DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING
 from .errors import FrobsepError, parsing
@@ -29,7 +32,18 @@ EXIT_DOMAIN = 3
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the CLI contract wants 1
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
+        # `--unknown VALUE command` makes VALUE the command: name the flag instead
+        value = message.split("'")[1] if "command: invalid choice" in message else None
+        i = self.argv.index(value) if value in self.argv else 0
+        flag = self.argv[i - 1].split("=")[0] if i else ""
+        if flag.startswith("--") and not any(
+                option.startswith(flag) for option in self._option_string_actions):
+            message = f"unrecognized arguments: {self.argv[i - 1]}"
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"error: {message}\n")
 

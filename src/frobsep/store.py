@@ -18,7 +18,6 @@ import functools
 import os
 import re
 import tempfile
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Final
@@ -100,11 +99,11 @@ class TraceTable:
 
     def rows(self, primes: np.ndarray) -> np.ndarray:
         """Row index of each of `primes`; every one must be in the table."""
-        absent = primes[~np.isin(primes, self.p)]
+        rows = np.searchsorted(self.p, primes)      # len(p) above the last prime
+        absent = primes[np.append(self.p, 0)[rows] != primes]
         if absent.size:
-            raise IncompleteTable(
-                f"{self.curve_label}: table lacks prime {absent[0]}")
-        return np.searchsorted(self.p, primes)
+            raise IncompleteTable(f"{self.curve_label}: table lacks prime {absent[0]}")
+        return rows
 
 
 def check_p_max(p_max: int, ceiling: int) -> None:
@@ -166,21 +165,25 @@ def _compute_block(curve, primes, with_lpoly, ceiling, fp2_ceiling,
     args = [(curve, primes[i::k], with_lpoly, ceiling, fp2_ceiling) for i in range(k)]
     good = np.zeros(len(primes), dtype=bool)
     factors = np.zeros((len(primes), 5 if with_lpoly else 2), dtype=np.int64)
-    mapper = _pool(workers).map if k > 1 else map
-    try:
-        for i, (part_good, part_factors) in enumerate(mapper(_count_block, args)):
-            good[i::k], factors[i::k] = part_good, part_factors
-    except BrokenProcessPool:
-        _pool.cache_clear()         # a broken pool is never handed out again
-        raise
+    parts = map(_count_block, args)
+    if k > 1:
+        from concurrent.futures.process import BrokenProcessPool     # see `_pool`
+        try:
+            parts = list(_pool(workers).map(_count_block, args))
+        except BrokenProcessPool:
+            _pool.cache_clear()     # a broken pool is never handed out again
+            raise
+    for i, (part_good, part_factors) in enumerate(parts):
+        good[i::k], factors[i::k] = part_good, part_factors
     return TraceTable(curve_label=curve.label, conductor=curve.conductor,
                       genus=curve.genus, p=primes, a_p=-factors[:, 1], good=good,
                       lpoly=factors if with_lpoly else None)
 
 
 @functools.cache
-def _pool(workers: int) -> ProcessPoolExecutor:
+def _pool(workers: int):
     """The process's one pool of `workers`; joined at interpreter exit."""
+    from concurrent.futures.process import ProcessPoolExecutor   # 16-26 ms: pools only
     return ProcessPoolExecutor(max_workers=workers)
 
 

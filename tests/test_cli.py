@@ -20,6 +20,17 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+def child_env(**preset):
+    """This process's environment for a child Python with `src` importable,
+    without a cache directory or an OpenBLAS thread count, plus `preset`."""
+    src = str(Path(frobsep.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("FROBSEP_CACHE", "OPENBLAS_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**env, **preset}
+
+
 class TestDelta:
     def test_psi_11(self):
         code, text = run_cli(["delta", "--g", "1", "--g2", "1"])
@@ -368,6 +379,9 @@ class TestMalformedInput:
         (["count", "curve.json"], 1, "the following arguments are required: --pmax"),
         (["--parallelism", "abc", "delta", "--g", "1", "--g2", "1"], 1,
          "argument --parallelism: invalid int value: 'abc'"),
+        # the unknown flag's value would otherwise be named as the command
+        (["--quadrature-order", "64", "delta", "--g", "1", "--g2", "1"], 1,
+         "unrecognized arguments: --quadrature-order"),
     ], ids=["curve-missing-field", "curve-not-json", "curve-short-a-invariants",
             "curve-genus-not-int", "curve-genus-3", "curve-genus1-h-quadratic",
             "curve-genus2-f-degree-7", "curve-genus2-h-quartic",
@@ -379,7 +393,8 @@ class TestMalformedInput:
             "count-negative-pmax", "separate-negative-pmax",
             "sum-infinite-x", "kernel-check-nan-y", "kernel-check-infinite-y",
             "kernel-check-nan-T", "kernel-check-infinite-T", "kernel-check-huge-T",
-            "separate-missing-arguments", "count-missing-pmax", "parallelism-not-int"])
+            "separate-missing-arguments", "count-missing-pmax", "parallelism-not-int",
+            "unknown-flag-before-command"])
     def test_error_line_not_traceback(self, argv, code, message, tmp_path, capsys):
         for name, text in self.FILES.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
@@ -393,7 +408,9 @@ class TestMalformedInput:
 
 
 class TestRuntimeImports:
-    """sum and delta run without scipy.optimize and sympy."""
+    """sum, delta and small counts run without scipy.optimize, sympy and the
+    worker pool's module; `import frobsep` loads no numpy, and the CLI
+    starts OpenBLAS with one thread unless the caller set a count."""
 
     PROBE = (
         "import runpy, sys\n"
@@ -402,18 +419,19 @@ class TestRuntimeImports:
         "    runpy.run_module('frobsep', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print('exit', code, sorted(m for m in ('scipy.optimize', 'sympy')\n"
+        "print('exit', code, sorted(m for m in ('scipy.optimize', 'sympy',\n"
+        "                                       'concurrent.futures.process')\n"
         "                           if m in sys.modules))\n"
     )
 
-    def run_module(self, args, cwd):
-        src = str(Path(frobsep.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k != "FROBSEP_CACHE"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", self.PROBE, *args], cwd=cwd,
-                              env=env, capture_output=True, text=True, check=True)
+    def run_python(self, code, args, cwd, **preset):
+        done = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+                              env=child_env(**preset), capture_output=True,
+                              text=True, check=True)
         return done.stdout.splitlines()[-1]
+
+    def run_module(self, args, cwd):
+        return self.run_python(self.PROBE, args, cwd)
 
     def test_sum_genus1_genus2(self, curve_json, g2b, tmp_path):
         g2_path = tmp_path / "g2b.json"
@@ -429,6 +447,29 @@ class TestRuntimeImports:
     def test_delta_22(self, tmp_path):
         assert self.run_module(["delta", "--g", "2", "--g2", "2"],
                                tmp_path) == "exit 0 []"
+
+    def test_count_below_pool_threshold(self, curve_json, tmp_path):
+        assert self.run_module(["count", str(curve_json["11a1"]), "--pmax", "97"],
+                               tmp_path) == "exit 0 []"
+
+    def test_package_import_defers_numpy(self, tmp_path):
+        probe = "import sys, frobsep; print('numpy' in sys.modules)"
+        assert self.run_python(probe, [], tmp_path) == "False"
+
+    @pytest.mark.parametrize("preset, seen", [({}, "1"),
+                                              ({"OPENBLAS_NUM_THREADS": "3"}, "3")])
+    def test_openblas_thread_count(self, preset, seen, tmp_path):
+        probe = ("import os; from frobsep import cli; "
+                 "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        assert self.run_python(probe, [], tmp_path, **preset) == seen
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads through /proc")
+    def test_cli_import_starts_no_thread(self, tmp_path):
+        # the setting only works if it precedes numpy's import
+        probe = ("import os; from frobsep import cli; "
+                 "print(len(os.listdir('/proc/self/task')))")
+        assert self.run_python(probe, [], tmp_path) == "1"
 
 
 class TestFrozenStdout:
@@ -459,6 +500,10 @@ class TestFrozenStdout:
             SUM_HEADER
             + "3000,-59.6622494121,0,-59.6622494121,-1.08927866115,"
               "-0.00212242534252,429,1\n"),
+        "delta_22": (
+            ["delta", "--g", "2", "--g2", "2"],
+            "delta(psi[g=2,g'=2]) quadrature = 1\n"
+            "delta(psi[g=2,g'=2]) exact = 1\n"),
         "separate": (
             ["separate", "11a1", "37a1", "--pmax", "3000"],
             "labelA,labelB,N,N2,least_prime,log_bound,ratio\n"
@@ -488,6 +533,19 @@ class TestFrozenStdout:
         code, text = run_cli(["--cache-dir", str(tmp_path / "cache"), *argv])
         assert code == 0
         assert text == want
+
+    @pytest.mark.parametrize("threads", [{}, {"OPENBLAS_NUM_THREADS": "2"}],
+                             ids=["default", "openblas2"])
+    @pytest.mark.parametrize("case", ["delta_22", "sym2"])
+    def test_fresh_process_stdout(self, case, threads, files, tmp_path):
+        # in this process numpy loaded before the CLI could set OpenBLAS's
+        # thread count; a child process starts under the CLI's setting
+        argv, want = self.CASES[case]
+        done = subprocess.run(
+            [sys.executable, "-m", "frobsep", "--cache-dir", str(tmp_path / "cache"),
+             *(files.get(arg, arg) for arg in argv)],
+            cwd=tmp_path, env=child_env(**threads), capture_output=True, check=True)
+        assert done.stdout == want.encode()
 
 
 class TestCorruptCache:

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+from concurrent.futures import process
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import replace
 
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from frobsep import CurveSpec, compute_range, export_csv, import_csv
 from frobsep import store
-from frobsep.errors import (CeilingExceeded, ConflictError, SchemaError,
-                            ValidationError)
+from frobsep.errors import (CeilingExceeded, ConflictError, IncompleteTable,
+                            SchemaError, ValidationError)
 from frobsep.store import (CSV_HEADER, TraceTable, bad_prime_sets, from_csv_text,
                            sieve_primes, to_csv_text)
 
@@ -33,6 +34,16 @@ class TestComputeRange:
         table = compute_range(c32, 10)
         assert table.p.tolist() == [2, 3, 5, 7]
         assert table.good.tolist() == [False, True, True, True]
+
+    @pytest.mark.parametrize("p_max, primes, absent", [
+        (50, [3001, 4], 3001),    # above the table's last prime
+        (50, [3, 4, 3001], 4),    # between two of its primes
+        (1, [3, 4], 3),           # an empty table
+    ])
+    def test_rows_name_the_first_absent_prime(self, c32, p_max, primes, absent):
+        table = compute_range(c32, p_max)
+        with pytest.raises(IncompleteTable, match=f"^32a: table lacks prime {absent}$"):
+            table.rows(np.array(primes))
 
     def test_empty_below_first_prime(self, c32):
         assert len(compute_range(c32, 1).p) == 0
@@ -74,7 +85,9 @@ class TestComputeRange:
 
 
 class TestWorkerPool:
-    """One executor per process and worker count, never more workers than CPUs."""
+    """One executor per process and worker count, never more workers than CPUs.
+    `store` imports the executor class when it first builds a pool, so the
+    tests replace it in `concurrent.futures.process`."""
 
     @pytest.fixture(autouse=True)
     def fresh_pools(self, monkeypatch):
@@ -91,7 +104,7 @@ class TestWorkerPool:
                 built.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(store, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Counted)
         for curve in (c11, c37):
             assert compute_range(curve, 5000, workers=2) == compute_range(curve, 5000)
         assert built == [2]
@@ -129,7 +142,7 @@ class TestWorkerPool:
             def map(self, fn, args):
                 return map(fn, args)
 
-        monkeypatch.setattr(store, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert compute_range(c11, 5000, workers=10 ** 6) == compute_range(c11, 5000)
         assert started == [3]
