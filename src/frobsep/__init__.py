@@ -10,7 +10,7 @@ _MODULE_OF = {name: module for module, names in {
                "chebyshev_sum prime_power_tail weighted_sum",
     "separation": "SeparationRecord least_separating_prime psi_value "
                   "separation_scan windowed_search",
-    "store": "TraceTable compute_range export_csv import_csv",
+    "store": "TraceTable compute_range compute_ranges export_csv import_csv",
     "symplectic": "AnalyticMetadata DominantWeight TorusPoint VirtualCharacter adams2 "
                   "char_value dimension fs_indicator inner_product psi_character "
                   "trivial_multiplicity",

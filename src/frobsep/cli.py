@@ -197,16 +197,20 @@ def _cmd_sum(args, out) -> int:
 
 
 def _widest_tables(args):
-    """`table(curve, width)` for the windowed search: each curve keeps its
-    widest table and is recounted only when a window needs a wider one."""
+    """`tables({curve: width})` for the windowed search: each curve keeps its
+    widest table, and the curves that need a wider one are counted together."""
     widest: dict[CurveSpec, tuple[int, store.TraceTable]] = {}
 
-    def table(curve: CurveSpec, width: int) -> store.TraceTable:
-        if widest.get(curve, (-1,))[0] < width:
-            widest[curve] = (width, _table(curve, width, args))
-        return widest[curve][1]
+    def tables(widths: dict) -> dict:
+        wider = {c: w for c, w in widths.items() if widest.get(c, (-1,))[0] < w}
+        if wider:
+            counted = store.compute_ranges(
+                wider, ceiling=args.count_ceiling, fp2_ceiling=args.fp2_ceiling,
+                cache_dir=args.cache_dir, workers=args.parallelism)
+            widest.update((c, (wider[c], table)) for c, table in counted.items())
+        return {c: widest[c][1] for c in widths}
 
-    return table
+    return tables
 
 
 def _cmd_separate(args, out) -> int:

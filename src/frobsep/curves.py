@@ -1,19 +1,20 @@
 """Point counting and Euler factors for genus-1 and genus-2 curves over Q.
 
 For odd p the affine solutions of y^2 + h(x) y = f(x) biject with
-solutions of z^2 = F(x), F = 4f + h^2.  `count_points_many` counts one
-curve at many primes in one call.  Genus-1 curves at 229 < p < 2^28 are
-counted by Shanks-Mestre baby-step giant-step on the group order in the
-Hasse interval, O(p^{1/4}) group operations per prime (Cohen, A Course in
-Computational Algebraic Number Theory, 7.4.3), run in lockstep with one
-numpy int64 lane per prime: projective coordinates, so no step inverts,
-and one batch inversion per lane to compare x-coordinates.  Every other
-count, and any prime the search leaves undecided within its point budget,
-goes through a uint8 square table and a blocked Horner sweep of F over all
-of F_p, reduced mod p only where int64 could overflow; the tests keep the
-sweep and a scalar search as references for the group-order route.
-Genus-2 quartic Euler factors additionally count over F_{p^2}, where the
-norm map to F_p reads the root counts off the same square table.
+solutions of z^2 = F(x), F = 4f + h^2.  `count_points_many` counts many
+lanes, each one curve at one prime, in one call.  Genus-1 lanes at
+229 < p < 2^28 are counted by Shanks-Mestre baby-step giant-step on the
+group order in the Hasse interval, O(p^{1/4}) group operations per lane
+(Cohen, A Course in Computational Algebraic Number Theory, 7.4.3), run in
+lockstep with one numpy int64 lane each: projective coordinates, so no
+step inverts, and one batch inversion per lane to compare x-coordinates.
+Every other lane, and any the search leaves undecided within its point
+budget, goes through a uint8 square table and a blocked Horner sweep over
+all of F_p, one pass per prime for all its curves, reduced mod p only
+where int64 could overflow; the tests keep the sweep and a scalar search
+as references for the group-order route.  Genus-2 quartic Euler factors
+additionally count over F_{p^2}, where the norm map to F_p reads the root
+counts off the same square table.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Final, Iterable
 
 import numpy as np
@@ -116,7 +117,7 @@ class CurveSpec:
         return {"label": self.label, "genus": self.genus, "model": model,
                 "conductor": self.conductor}
 
-    @property
+    @cached_property                    # per lane in `count_points_many`
     def discriminant(self) -> int:
         return _model_discriminant(self.genus, self.f, self.h)
 
@@ -188,11 +189,10 @@ def _bareiss_det(m: list[list[int]]) -> int:
 # counting over F_p
 
 
-def _check_good(curve: CurveSpec, primes: Iterable[int]):
-    disc = curve.discriminant
-    bad = next((p for p in primes if disc % p == 0), None)
+def _check_good(curves: Iterable[CurveSpec], primes: Iterable[int]):
+    bad = next(((c, p) for c, p in zip(curves, primes) if c.discriminant % p == 0), None)
     if bad is not None:
-        raise BadReduction(f"{curve.label}: p={bad} divides the model discriminant")
+        raise BadReduction(f"{bad[0].label}: p={bad[1]} divides the model discriminant")
 
 
 def count_points(curve: CurveSpec, p: int, *,
@@ -202,13 +202,14 @@ def count_points(curve: CurveSpec, p: int, *,
     return int(count_points_many(curve, [p], ceiling=ceiling)[0])
 
 
-def count_points_many(curve: CurveSpec, primes, *,
+def count_points_many(curves, primes, *,
                       ceiling: int = DEFAULT_FP_CEILING) -> np.ndarray:
-    """Projective points of the reduced curve over F_p for each of `primes`.
+    """Projective points over F_p of each lane (curve, p): `curves` is one
+    curve for every prime of `primes`, or one curve per prime.
 
-    Genus-1 primes above MESTRE_BOUND go through one lockstep group-order
-    search, which accepts p < SEARCH_PMAX only; every other prime, and any
-    the search leaves undecided, is swept.
+    Genus-1 lanes above MESTRE_BOUND go through one lockstep group-order
+    search, which accepts p < SEARCH_PMAX only; every other lane, and any
+    the search leaves undecided, is swept, one pass per prime.
     """
     try:
         primes = np.asarray(primes, dtype=np.int64)
@@ -219,22 +220,28 @@ def count_points_many(curve: CurveSpec, primes, *,
         return counts
     if primes.max() > ceiling:
         raise CeilingExceeded(f"p={primes.max()} above counting ceiling {ceiling}")
-    _check_good(curve, primes.tolist())
-    big = _square_completed(curve.f, curve.h)
-    searched = (primes > MESTRE_BOUND) & (curve.genus == 1)
+    lanes = [curves] * len(primes) if isinstance(curves, CurveSpec) else list(curves)
+    _check_good(lanes, primes.tolist())
+    bigs = [_square_completed(c.f, c.h) for c in lanes]
+    searched = (primes > MESTRE_BOUND) & np.array([c.genus == 1 for c in lanes])
     if searched.any():
-        if primes.max() >= SEARCH_PMAX:
-            raise CeilingExceeded(f"p={primes.max()} above the genus-1 search "
-                                  f"bound {SEARCH_PMAX}")
-        counts[searched] = _count_points_bsgs(big, primes[searched])
-    for i in np.flatnonzero(counts == 0):
-        p = int(primes[i])
-        counts[i] = (_count_points_char2(curve) if p == 2 else
-                     _count_points_sweep(curve, p, [c % p for c in big]))
+        if primes[searched].max() >= SEARCH_PMAX:
+            raise CeilingExceeded(f"p={primes[searched].max()} above the genus-1 "
+                                  f"search bound {SEARCH_PMAX}")
+        counts[searched] = _count_points_bsgs(
+            [bigs[i] for i in np.flatnonzero(searched).tolist()], primes[searched])
+    by_prime: dict[int, list[int]] = {}
+    for i in np.flatnonzero(counts == 0).tolist():
+        by_prime.setdefault(int(primes[i]), []).append(i)
+    for p, rows in by_prime.items():
+        found = ([_count_points_char2(lanes[i]) for i in rows] if p == 2 else
+                 _count_points_sweep([[c % p for c in bigs[i]] for i in rows], p))
+        for i, n in zip(rows, found):
+            counts[i] = n
     return counts
 
 
-_BLOCK: Final = 2 ** 15        # x per sweep block: 256 KiB of int64
+_BLOCK: Final = 2 ** 15        # cells per sweep block: 256 KiB of int64
 
 
 def _square_counts(p: int) -> np.ndarray:
@@ -246,21 +253,25 @@ def _square_counts(p: int) -> np.ndarray:
     return nsol
 
 
-def _count_points_sweep(curve: CurveSpec, p: int, big: list[int]) -> int:
-    """Square-table sweep of z^2 = F(x) over every x in F_p, odd p."""
+def _count_points_sweep(bigs: list[list[int]], p: int) -> list[int]:
+    """Square-table sweep of z^2 = F(x) over every x in F_p, odd p, for each
+    F of `bigs` (ascending, formal length 7, reduced mod p) in one pass."""
     nsol = _square_counts(p)
-    top, *rest = big[::-1]
-    while not top:                      # F is nonzero at a good prime
-        top, *rest = rest
-    # Horner values are bounded by F's value at p - 1, restarted from p - 1
-    # after a reduction; reduce before a step that could reach 2^63
+    columns = list(zip(*bigs))[::-1]    # descending; F is nonzero at a good prime
+    while not any(columns[0]):
+        del columns[0]
+    # Horner values are bounded by the largest F's value at p - 1, restarted
+    # from p - 1 after a reduction; reduce before a step that could reach 2^63
+    top, *rest = map(max, columns)
     reduce_first, bound = [], top
     for c in rest:
         reduce_first.append(bound * (p - 1) + c >= 2 ** 63)
         bound = (p - 1 if reduce_first[-1] else bound) * (p - 1) + c
-    affine = 0
-    for start in range(0, p, _BLOCK):
-        x = np.arange(start, min(start + _BLOCK, p), dtype=np.int64)
+    if len(bigs) > 1:                   # one row of acc per F; the bound holds for each
+        top, *rest = np.array(columns, dtype=np.int64)[:, :, None]
+    affine, step = 0, max(1, _BLOCK // len(bigs))
+    for start in range(0, p, step):
+        x = np.arange(start, min(start + step, p), dtype=np.int64)
         acc = x * top                   # top < p: the first step needs no check
         for i, c in enumerate(rest):
             if i:
@@ -269,11 +280,11 @@ def _count_points_sweep(curve: CurveSpec, p: int, big: list[int]) -> int:
                 acc *= x
             acc += c
         acc -= acc // p * p
-        affine += int(nsol[acc].sum())
-    if curve.genus == 1:
-        return affine + 1
-    c6 = big[6]     # c6 = c5 = 0 is a double root at infinity: p | disc, not good
-    return affine + (int(nsol[c6]) if c6 else 1)
+        affine += nsol[acc].sum(axis=-1, dtype=np.int64)
+    # c6 = c5 = 0 is a double root at infinity: p | disc, not good; a cubic
+    # F (genus 1) has one point there
+    return [n + (int(nsol[big[6]]) if big[6] else 1)
+            for n, big in zip(np.ravel(affine).tolist(), bigs)]
 
 
 # Above this bound E or its quadratic twist has a point whose order has a
@@ -291,22 +302,25 @@ _SEARCH_CELLS: Final = 2 ** 15  # int64 cells per search array: 256 KiB
 _SMALL_PASS: Final = 256
 
 
-def _count_points_bsgs(big: list[int], primes: np.ndarray) -> np.ndarray:
-    """#E(F_p) from point orders on E and its twist, 0 where undecided.
+def _count_points_bsgs(bigs: list[tuple[int, ...]], primes: np.ndarray) -> np.ndarray:
+    """#E(F_p) of each lane, the model F = bigs[i] at primes[i], from point
+    orders on E and its twist, 0 where undecided.
 
     F = 4x^3 + b2 x^2 + 2 b4 x + b6 becomes Y^2 = X^3 - 27 c4 X - 54 c6,
     valid for p > 3.  With r = rhs(x) != 0, (x r, r^2) lies on
     Y^2 = X^3 + a r^2 X + b r^3: E when r is a square, its twist E' when
     not, so no square root is taken; #E + #E' = 2p + 2 maps twist orders
-    back.  A point decides its prime when exactly one multiple of its order
-    lies in the Hasse interval.  The primes are searched in lockstep, one
+    back.  A point decides its lane when exactly one multiple of its order
+    lies in the Hasse interval.  The lanes are searched in lockstep, one
     point each per pass, until so few are left that one pass can try every
     point left in the budget.
     """
-    # F[1] = 2 b4, so c4 = b2^2 - 12 F[1] and c6 = -b2^3 + 18 b2 F[1] - 216 b6
-    b2, f1, b6 = big[2], big[1], big[0]
-    a = _residues(-27 * (b2 * b2 - 12 * f1), primes)
-    b = _residues(-54 * (-b2 ** 3 + 18 * b2 * f1 - 216 * b6), primes)
+    # F[1] = 2 b4, so c4 = b2^2 - 12 F[1] and c6 = -b2^3 + 18 b2 F[1] - 216 b6;
+    # a curve's lanes share its cached tuple, so identity finds them cheaply
+    short = {key: (-27 * (b2 * b2 - 12 * f1), -54 * (-b2 ** 3 + 18 * b2 * f1 - 216 * b6))
+             for key, (b6, f1, b2, *_) in {id(big): big for big in bigs}.items()}
+    a, b = (np.array([short[id(big)][k] % p for big, p in zip(bigs, primes.tolist())],
+                     dtype=np.int64) for k in (0, 1))
     counts = np.zeros(len(primes), dtype=np.int64)
     todo, next_x = np.arange(len(primes)), np.zeros(len(primes), dtype=np.int64)
     # lanes per call of the search, whose arrays hold about 2m rows per lane
@@ -334,11 +348,6 @@ def _count_points_bsgs(big: list[int], primes: np.ndarray) -> np.ndarray:
         todo = todo[counts[todo] == 0]
         spent += width
     return counts
-
-
-def _residues(c: int, primes: np.ndarray) -> np.ndarray:
-    """c mod p for each prime, for an integer c of any size."""
-    return np.array([c % p for p in primes.tolist()], dtype=np.int64)
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:
@@ -533,7 +542,7 @@ def count_points_Fp2(curve: CurveSpec, p: int, *,
         raise UnsupportedModel("F_{p^2} counts are only needed for genus 2")
     if p * p > ceiling:
         raise CeilingExceeded(f"p^2={p * p} above enumeration ceiling {ceiling}")
-    _check_good(curve, [p])            # genus-2 models are all bad at 2
+    _check_good([curve], [p])          # genus-2 models are all bad at 2
     n = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)
     u = np.repeat(np.arange(p, dtype=np.int64), p)     # x = u + v t
     v = np.tile(np.arange(p, dtype=np.int64), p)

@@ -6,7 +6,8 @@ positive there and nowhere else inside the open Weil box, so corpus scans
 probe the least such prime against log(2 N N')^2.  That bound (with
 constant 1) is also the first window of the search: primes are counted to
 it, then to 8 times it, and so on up to the search bound, and the search
-stops at the first window that holds a separating prime.
+stops at the first window that holds a separating prime.  A scan searches
+all its pairs in rounds, one table request for every pair still open.
 """
 
 from __future__ import annotations
@@ -103,43 +104,53 @@ def search_windows(conductor_a: int, conductor_b: int, p_max: int) -> list[int]:
     return widths + [p_max]
 
 
-def windowed_search(curve_a, curve_b, table, p_max: int, *,
+def windowed_search(curve_a, curve_b, tables, p_max: int, *,
                     note_errors: bool = False) -> SeparationRecord:
     """`least_separating_prime` of the pair to p_max, counting no further
     than the first search window that holds a separating prime.
 
-    `table(curve, width)` returns a table of `curve` (anything with a
-    `label` and a `conductor`) covering every prime <= width.  An error
-    from `table` propagates; with `note_errors`, a `FrobsepError` from the
+    `tables({curve: width})` returns `{curve: table}` covering the primes
+    <= each width, for curves with a `label` and a `conductor`.  An error
+    from `tables` propagates; with `note_errors`, a `FrobsepError` from the
     search itself becomes the record's note instead.
     """
-    for width in search_windows(curve_a.conductor, curve_b.conductor, p_max):
-        table_a, table_b = table(curve_a, width), table(curve_b, width)
-        try:
-            record = least_separating_prime(table_a, table_b, width)
-        except FrobsepError as exc:
-            if not note_errors:
-                raise
-            return _record(_key(curve_a), _key(curve_b), note=f"error: {exc}")
-        if record.least_prime is not None:
-            break
-    return record
+    return _search_rounds([(curve_a, curve_b)], tables, p_max, note_errors)[0]
 
 
-def separation_scan(pairs, table, p_max: int) -> list[SeparationRecord]:
-    """One `windowed_search` record per curve pair, with tables from
-    `table(curve, width)`.  Identical labels are skipped with a note and
-    count nothing; a pair's `FrobsepError` from the search is recorded and
-    the scan continues; an error from `table`, or any other exception,
+def separation_scan(pairs, tables, p_max: int) -> list[SeparationRecord]:
+    """One `windowed_search` record per curve pair, all pairs searched in
+    the same rounds.  Identical labels are skipped with a note and count
+    nothing; a pair's `FrobsepError` from the search is recorded and the
+    scan continues; an error from `tables`, or any other exception,
     propagates."""
-    records = []
-    for curve_a, curve_b in pairs:
-        if curve_a.label == curve_b.label:
-            records.append(_record(_key(curve_a), _key(curve_b),
-                                   note="skipped: identical labels"))
-            continue
-        records.append(windowed_search(curve_a, curve_b, table, p_max,
-                                       note_errors=True))
+    found = iter(_search_rounds([(a, b) for a, b in pairs if a.label != b.label],
+                                tables, p_max, note_errors=True))
+    return [next(found) if a.label != b.label else
+            _record(_key(a), _key(b), note="skipped: identical labels") for a, b in pairs]
+
+
+def _search_rounds(pairs, tables, p_max: int, note_errors: bool) -> list[SeparationRecord]:
+    """Windowed searches of `pairs`: round k makes one `tables` call for the
+    k-th window of every open pair, each curve at the widest one it needs."""
+    windows = [search_windows(a.conductor, b.conductor, p_max) for a, b in pairs]
+    records: list[SeparationRecord | None] = [None] * len(pairs)
+    for k in range(max(map(len, windows), default=0)):
+        todo = [i for i, record in enumerate(records) if record is None]
+        widths: dict = {}
+        for i in todo:
+            for curve in pairs[i]:
+                widths[curve] = max(widths.get(curve, 0), windows[i][k])
+        got = tables(widths)
+        for i in todo:
+            (a, b), width = pairs[i], windows[i][k]
+            try:
+                record = least_separating_prime(got[a], got[b], width)
+            except FrobsepError as exc:
+                if not note_errors:
+                    raise
+                record = _record(_key(a), _key(b), note=f"error: {exc}")
+            if record.least_prime is not None or record.note or width == p_max:
+                records[i] = record
     return records
 
 

@@ -5,10 +5,10 @@ disk it is a CSV file with a fixed header and one metadata comment line,
 so expensive counts happen once; cache files hold one full bucket of
 primes each and are written atomically (temp file + rename, single
 writer).  All stored values are integers; normalized traces are
-recomputed on demand to avoid precision drift.  A table is counted in
-chunks of interleaved primes, one batch counting call per chunk; parallel
-counts use one process pool per process, so the fork is paid once, not
-once per table.
+recomputed on demand to avoid precision drift.  Many curves are counted
+together as lanes (curve, prime), in chunks of interleaved lanes, one batch
+counting call per chunk; parallel counts use one process pool per process,
+so the fork is paid once, not once per table.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ METADATA_PREFIX: Final = "# frobsep-trace-table"
 CACHE_BUCKET: Final = 100_000
 CACHE_ENV_VAR: Final = "FROBSEP_CACHE"
 _LABEL_RE: Final = re.compile(r"^[A-Za-z0-9._-]+$")
-_PARALLEL_THRESHOLD: Final = 500          # primes; below this pool dispatch loses
+_PARALLEL_THRESHOLD: Final = 500   # primes of one curve's block; below, pools lose
 
 
 def sieve_primes(n: int) -> np.ndarray:
@@ -114,35 +114,62 @@ def check_p_max(p_max: int, ceiling: int) -> None:
         raise CeilingExceeded(f"p_max={p_max} above counting ceiling {ceiling}")
 
 
-def compute_range(curve: CurveSpec, p_max: int, *,
-                  with_lpoly: bool = False,
-                  ceiling: int = DEFAULT_FP_CEILING,
-                  fp2_ceiling: int = DEFAULT_FP2_CEILING,
-                  cache_dir: str | os.PathLike | None = None,
-                  workers: int = 1) -> TraceTable:
-    """Trace table for every prime <= p_max, cached in full buckets.
+def compute_range(curve: CurveSpec, p_max: int, *, with_lpoly: bool = False,
+                  ceiling: int = DEFAULT_FP_CEILING, fp2_ceiling: int = DEFAULT_FP2_CEILING,
+                  cache_dir: str | os.PathLike | None = None, workers: int = 1) -> TraceTable:
+    """Trace table of `curve` to p_max: the one-curve case of `compute_ranges`."""
+    return compute_ranges({curve: p_max}, with_lpoly=with_lpoly, ceiling=ceiling,
+                          fp2_ceiling=fp2_ceiling, cache_dir=cache_dir,
+                          workers=workers)[curve]
 
-    Buckets are joined in ascending-prime order whatever the worker count,
-    so repeated runs export byte-identical files.  `workers` 0 means one per
-    CPU; more than the CPU count are never started.  Only genus 2 stores
-    Euler factors, so `with_lpoly` is ignored for genus 1.
+
+def compute_ranges(p_maxes: dict[CurveSpec, int], *, with_lpoly: bool = False,
+                   ceiling: int = DEFAULT_FP_CEILING, fp2_ceiling: int = DEFAULT_FP2_CEILING,
+                   cache_dir: str | os.PathLike | None = None,
+                   workers: int = 1) -> dict[CurveSpec, TraceTable]:
+    """Trace table of each curve for every prime <= its p_max, cached in
+    full buckets, which are read first; every block left, across all curves,
+    is counted as one set of lanes (curve, prime).  Buckets are joined in
+    ascending-prime order whatever the worker count, so repeated runs export
+    byte-identical files.  `workers` 0 means one per CPU; more than the CPU
+    count are never started.  Only genus 2 stores Euler factors, so
+    `with_lpoly` is ignored for genus 1.
     """
-    check_p_max(p_max, ceiling)
+    for p_max in p_maxes.values():
+        check_p_max(p_max, ceiling)
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    with_lpoly = with_lpoly and curve.genus == 2
     workers = min(workers or os.cpu_count() or 1, os.cpu_count() or 1)
-    every = sieve_primes(p_max)
-    blocks = []
-    for lo in range(0, p_max + 1, CACHE_BUCKET):
-        hi = min(lo + CACHE_BUCKET - 1, p_max)
-        primes = every[(every >= lo) & (every <= hi)]
-        if cache_dir is not None and hi == lo + CACHE_BUCKET - 1:
-            blocks.append(_cached_bucket(curve, lo, primes, with_lpoly, ceiling,
-                                         fp2_ceiling, cache_dir, workers))
-        else:
-            blocks.append(_compute_block(curve, primes, with_lpoly, ceiling,
-                                         fp2_ceiling, workers))
+    every = sieve_primes(max(p_maxes.values(), default=0))
+    blocks = []         # [curve, primes, full bucket's path or None, table or None]
+    for curve, p_max in p_maxes.items():
+        for lo in range(0, p_max + 1, CACHE_BUCKET):
+            hi = min(lo + CACHE_BUCKET - 1, p_max)
+            primes = every[(every >= lo) & (every <= hi)]
+            path = (_bucket_path(cache_dir, curve.label, lo) if cache_dir is not None
+                    and hi == lo + CACHE_BUCKET - 1 else None)
+            blocks.append([curve, primes, path, path and _cached_bucket(
+                curve, path, primes, with_lpoly)])
+    todo = [block for block in blocks if block[3] is None]
+    paths = [path for _, _, path, _ in todo if path is not None]
+    twice = next((path for path in paths if paths.count(path) > 1), None)
+    if twice is not None:
+        raise ConflictError(f"two curves under one label would write {twice}")
+    factors = _count_lanes(todo, with_lpoly, ceiling, fp2_ceiling, workers)
+    ends = np.cumsum([len(primes) for _, primes, _, _ in todo])[:-1]
+    for block, rows in zip(todo, np.split(factors, ends)):
+        curve, primes, path, _ = block
+        block[3] = TraceTable(
+            curve_label=curve.label, conductor=curve.conductor, genus=curve.genus,
+            p=primes, a_p=-rows[:, 1], good=rows[:, 0] == 1,
+            lpoly=rows if with_lpoly and curve.genus == 2 else None)
+        if path is not None:
+            export_csv(block[3], path, _model_fingerprint(curve))
+    return {curve: _join(curve, [table for c, _, _, table in blocks if c is curve])
+            for curve in p_maxes}
+
+
+def _join(curve: CurveSpec, blocks: list[TraceTable]) -> TraceTable:
     if len(blocks) == 1:
         return blocks[0]
     # one check of the joined columns; a block without Euler factors adds
@@ -150,34 +177,33 @@ def compute_range(curve: CurveSpec, p_max: int, *,
     width = 2 * curve.genus + 1
     lpoly = np.concatenate([np.zeros((len(b.p), width), dtype=np.int64)
                             if b.lpoly is None else b.lpoly for b in blocks])
-    return TraceTable(curve_label=curve.label, conductor=curve.conductor,
-                      genus=curve.genus,
-                      p=np.concatenate([b.p for b in blocks]),
-                      a_p=np.concatenate([b.a_p for b in blocks]),
-                      good=np.concatenate([b.good for b in blocks]), lpoly=lpoly)
+    columns = {name: np.concatenate([getattr(b, name) for b in blocks])
+               for name in ("p", "a_p", "good")}
+    return TraceTable(curve.label, curve.conductor, curve.genus, lpoly=lpoly, **columns)
 
 
-def _compute_block(curve, primes, with_lpoly, ceiling, fp2_ceiling,
-                   workers) -> TraceTable:
-    # one interleaved chunk per worker: chunks cost alike, where contiguous
-    # ones grow with p, and each pays the counting kernel's fixed cost once
-    k = workers if len(primes) >= _PARALLEL_THRESHOLD else 1
-    args = [(curve, primes[i::k], with_lpoly, ceiling, fp2_ceiling) for i in range(k)]
-    good = np.zeros(len(primes), dtype=bool)
-    factors = np.zeros((len(primes), 5 if with_lpoly else 2), dtype=np.int64)
-    parts = map(_count_block, args)
+def _count_lanes(todo, with_lpoly, ceiling, fp2_ceiling, workers) -> np.ndarray:
+    """`_count_chunk` of the lanes of every (curve, primes, ...) block of
+    `todo`, in order.  With a pool, each worker gets one interleaved chunk
+    of all the lanes: chunks cost alike, where contiguous ones grow with p,
+    and each pays the counting kernel's fixed cost once."""
+    lanes = [curve for curve, block, *_ in todo for _ in range(len(block))]
+    primes = np.concatenate([np.zeros(0, np.int64), *(block for _, block, *_ in todo)])
+    k = workers if any(len(block) >= _PARALLEL_THRESHOLD for _, block, *_ in todo) else 1
+    args = [(lanes[i::k], primes[i::k], with_lpoly, ceiling, fp2_ceiling)
+            for i in range(k)]
+    factors = np.zeros((len(primes), 5), dtype=np.int64)
+    parts = map(_count_chunk, args)
     if k > 1:
         from concurrent.futures.process import BrokenProcessPool     # see `_pool`
         try:
-            parts = list(_pool(workers).map(_count_block, args))
+            parts = list(_pool(workers).map(_count_chunk, args))
         except BrokenProcessPool:
             _pool.cache_clear()     # a broken pool is never handed out again
             raise
-    for i, (part_good, part_factors) in enumerate(parts):
-        good[i::k], factors[i::k] = part_good, part_factors
-    return TraceTable(curve_label=curve.label, conductor=curve.conductor,
-                      genus=curve.genus, p=primes, a_p=-factors[:, 1], good=good,
-                      lpoly=factors if with_lpoly else None)
+    for i, part in enumerate(parts):
+        factors[i::k] = part
+    return factors
 
 
 @functools.cache
@@ -187,21 +213,25 @@ def _pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _count_block(args) -> tuple[np.ndarray, np.ndarray]:
-    """Good-reduction flags and Euler factors of one chunk of primes, or
-    just (1, -a_p), with zero rows at bad primes."""
-    curve, primes, with_lpoly, ceiling, fp2_ceiling = args
-    good = np.array([not curve.is_bad(p) for p in primes.tolist()], dtype=bool)
-    factors = np.zeros((len(primes), 5 if with_lpoly else 2), dtype=np.int64)
-    if with_lpoly:
-        for row in np.flatnonzero(good):
-            factors[row] = euler_factor(curve, int(primes[row]), ceiling=ceiling,
-                                        fp2_ceiling=fp2_ceiling)
-    else:
-        factors[good, 0] = 1
-        factors[good, 1] = count_points_many(curve, primes[good], ceiling=ceiling) \
-            - primes[good] - 1
-    return good, factors
+def _count_chunk(args) -> np.ndarray:
+    """Euler factors of one chunk of lanes, curve curves[i] at primes[i]:
+    the whole factor for genus 2 with `with_lpoly`, else (1, -a_p); zero
+    rows at bad lanes."""
+    curves, primes, with_lpoly, ceiling, fp2_ceiling = args
+    good = np.array([not c.is_bad(p) for c, p in zip(curves, primes.tolist())],
+                    dtype=bool)
+    factors = np.zeros((len(primes), 5), dtype=np.int64)
+    rich = good & np.array([with_lpoly and c.genus == 2 for c in curves], dtype=bool)
+    for row in np.flatnonzero(rich):
+        factors[row] = euler_factor(curves[row], int(primes[row]), ceiling=ceiling,
+                                    fp2_ceiling=fp2_ceiling)
+    plain = np.flatnonzero(good & ~rich)
+    if plain.size:
+        factors[plain, 0] = 1
+        factors[plain, 1] = count_points_many([curves[i] for i in plain.tolist()],
+                                              primes[plain], ceiling=ceiling) \
+            - primes[plain] - 1
+    return factors
 
 
 def bad_prime_sets(curve: CurveSpec, p_max: int) -> tuple[list[int], list[int]]:
@@ -353,27 +383,21 @@ def _model_fingerprint(curve: CurveSpec) -> str:
     return "/".join(",".join(str(c) for c in coeffs) for coeffs in (curve.f, curve.h))
 
 
-def _cached_bucket(curve, lo, primes, with_lpoly, ceiling, fp2_ceiling,
-                   cache_dir, workers) -> TraceTable:
-    """One full bucket from the cache, counted and rewritten when stale.
+def _cached_bucket(curve, path, primes, with_lpoly) -> TraceTable | None:
+    """The full bucket at `path`, or None when it is missing or stale.
 
     A file for another label, conductor, genus or model is a conflict.  A
     file without a model fingerprint, or whose primes are not exactly those
     of the bucket, is stale.
     """
-    path = _bucket_path(cache_dir, curve.label, lo)
-    model = _model_fingerprint(curve)
-    if path.exists():
-        cached = import_csv(path, model)
-        declared = (curve.label, curve.conductor, curve.genus)
-        if (cached.curve_label, cached.conductor, cached.genus) != declared:
-            raise ConflictError(f"cache file {path} holds label, conductor, genus "
-                                f"{cached.curve_label, cached.conductor, cached.genus}"
-                                f", not {declared}")
-        lacks_lpoly = with_lpoly and (
-            cached.lpoly is None or not cached.lpoly[cached.good, 0].all())
-        if np.array_equal(cached.p, primes) and not lacks_lpoly:
-            return cached
-    bucket = _compute_block(curve, primes, with_lpoly, ceiling, fp2_ceiling, workers)
-    export_csv(bucket, path, model)
-    return bucket
+    if not path.exists():
+        return None
+    cached = import_csv(path, _model_fingerprint(curve))
+    declared = (curve.label, curve.conductor, curve.genus)
+    if (cached.curve_label, cached.conductor, cached.genus) != declared:
+        raise ConflictError(f"cache file {path} holds label, conductor, genus "
+                            f"{cached.curve_label, cached.conductor, cached.genus}"
+                            f", not {declared}")
+    lacks_lpoly = with_lpoly and curve.genus == 2 and (
+        cached.lpoly is None or not cached.lpoly[cached.good, 0].all())
+    return None if lacks_lpoly or not np.array_equal(cached.p, primes) else cached

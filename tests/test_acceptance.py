@@ -22,7 +22,6 @@ from frobsep.cli import main as cli_main
 from frobsep.evaluators import (PsiPairEvaluator, TautologicalEvaluator,
                                 TrivialEvaluator)
 from frobsep.laurent import partitions_upto
-from frobsep.store import to_csv_text
 
 # frozen on the first recorded run (11a1/37a1 reference pair)
 RESIDUAL_OVER_SQRTX_BOUND = 8.0

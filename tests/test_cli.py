@@ -226,9 +226,10 @@ class TestScan:
         corpus.write_text(json.dumps({"pairs": [[a, b], [b, a], [a, b]]}),
                           encoding="utf-8")
         counted = []
-        compute_range = store.compute_range
-        monkeypatch.setattr(store, "compute_range", lambda curve, *args, **kw:
-                            counted.append(curve.label) or compute_range(curve, *args, **kw))
+        compute_ranges = store.compute_ranges
+        monkeypatch.setattr(store, "compute_ranges", lambda p_maxes, **kw:
+                            counted.extend(c.label for c in p_maxes)
+                            or compute_ranges(p_maxes, **kw))
         code, text = run_cli(["scan", str(corpus), "--pmax", "100"])
         assert code == 0
         assert counted == ["11a1", "37a1"]
@@ -609,27 +610,30 @@ class TestWindowedSearch:
     @pytest.fixture
     def recorded(self, monkeypatch):
         """Primes handed to the counter, the widths each curve's table is
-        built for, and the cache files read."""
+        built for, each counting call's {label: width}, and the cache files
+        read."""
         from frobsep import store
 
-        seen = {"primes": [], "widths": {}, "imports": []}
-        count, compute, read = (store.count_points_many, store.compute_range,
+        seen = {"primes": [], "widths": {}, "calls": [], "imports": []}
+        count, compute, read = (store.count_points_many, store.compute_ranges,
                                 store.import_csv)
 
         def counting(curve, primes, **kw):
             seen["primes"] += list(primes)
             return count(curve, primes, **kw)
 
-        def computing(curve, p_max, **kw):
-            seen["widths"].setdefault(curve.label, []).append(p_max)
-            return compute(curve, p_max, **kw)
+        def computing(p_maxes, **kw):
+            seen["calls"].append({curve.label: p_max for curve, p_max in p_maxes.items()})
+            for curve, p_max in p_maxes.items():
+                seen["widths"].setdefault(curve.label, []).append(p_max)
+            return compute(p_maxes, **kw)
 
         def reading(path, *args):
             seen["imports"].append(path)
             return read(path, *args)
 
         monkeypatch.setattr(store, "count_points_many", counting)
-        monkeypatch.setattr(store, "compute_range", computing)
+        monkeypatch.setattr(store, "compute_ranges", computing)
         monkeypatch.setattr(store, "import_csv", reading)
         return seen
 
@@ -679,17 +683,18 @@ class TestWindowedSearch:
         a = self.curve_file(tmp_path, c11, label="a", conductor=1)
         b = self.curve_file(tmp_path, c37, label="b", conductor=1)
         clone = self.curve_file(tmp_path, c11, label="clone", conductor=1)
+        # widths first: the oracle's full tables go through the same spy
         code, text = run_cli(["separate", a, b, "--pmax", "3000"])
-        assert (code, text.splitlines()[1]) == (0, self.oracle([a, b], 3000).csv_row())
         assert recorded["widths"] == {"a": [1, 8], "b": [1, 8]}
+        assert (code, text.splitlines()[1]) == (0, self.oracle([a, b], 3000).csv_row())
 
         recorded["widths"].clear()
         code, text = run_cli(["separate", a, clone, "--pmax", "3000"])
         assert code == 3
-        assert text.splitlines()[1:] == [self.oracle([a, clone], 3000).csv_row(),
-                                         "# no separating prime <= 3000"]
         assert recorded["widths"] == {"a": [1, 8, 64, 512, 3000],
                                       "clone": [1, 8, 64, 512, 3000]}
+        assert text.splitlines()[1:] == [self.oracle([a, clone], 3000).csv_row(),
+                                         "# no separating prime <= 3000"]
 
         recorded["widths"].clear()
         corpus = tmp_path / "corpus.json"
@@ -697,11 +702,35 @@ class TestWindowedSearch:
                           encoding="utf-8")
         code, text = run_cli(["scan", str(corpus), "--pmax", "3000"])
         assert code == 3
-        assert text == separation.scan_csv(
-            [self.oracle(pair, 3000) for pair in ([a, b], [a, clone], [b, a])])
         # each curve is counted once per width, and only to widen its table
         assert recorded["widths"] == {"a": [1, 8, 64, 512, 3000], "b": [1, 8],
                                       "clone": [1, 8, 64, 512, 3000]}
+        assert text == separation.scan_csv(
+            [self.oracle(pair, 3000) for pair in ([a, b], [a, clone], [b, a])])
+
+    def test_scan_rounds_count_once_each(self, c11, c37, g2a, g2b, tmp_path,
+                                         recorded):
+        """With every conductor declared 1 all pairs share the windows 1, 8,
+        64, 512, 3000, so round k is window k: one counting call per round
+        for the curves of the pairs still open, each widened once.  Pairs
+        close in the second, third and fourth rounds, and one never."""
+        a, b, clone, g, h = (self.curve_file(tmp_path, curve, label=label, conductor=1)
+                             for curve, label in ((c11, "a"), (c37, "b"), (c11, "clone"),
+                                                  (g2b, "g"), (g2a, "h")))
+        pairs = [[a, b], [a, clone], [a, g], [g, h], [b, a]]
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps({"pairs": pairs}), encoding="utf-8")
+        code, text = run_cli(["scan", str(corpus), "--pmax", "3000"])
+        assert code == 3
+        every = ("a", "b", "clone", "g", "h")
+        assert recorded["calls"] == [
+            dict.fromkeys(every, 1), dict.fromkeys(every, 8),
+            dict.fromkeys(("a", "clone", "g", "h"), 64),
+            dict.fromkeys(("a", "clone", "g", "h"), 512),
+            dict.fromkeys(("a", "clone"), 3000)]
+        records = [self.oracle(pair, 3000) for pair in pairs]
+        assert [r.least_prime for r in records] == [5, None, 17, 131, 5]
+        assert text == separation.scan_csv(records)
 
     @pytest.mark.parametrize("command", ["separate", "scan"])
     def test_pmax_above_ceiling_counts_nothing(self, command, curve_json, tmp_path,

@@ -65,12 +65,12 @@ class TestGroupOrderRoute:
         """Good primes among `primes` and the search's counts, one call."""
         primes = primes[[curve.good_reduction(p) for p in primes.tolist()]]
         big = curves._square_completed(curve.f, curve.h)
-        return primes, curves._count_points_bsgs(big, primes)
+        return primes, curves._count_points_bsgs([big] * len(primes), primes)
 
     @staticmethod
     def _swept(curve, primes):
         big = curves._square_completed(curve.f, curve.h)
-        return [curves._count_points_sweep(curve, p, [c % p for c in big])
+        return [curves._count_points_sweep([[c % p for c in big]], p)[0]
                 for p in primes.tolist()]
 
     def test_equals_sweep_to_1e4(self, c11, c37, c32):
@@ -177,8 +177,8 @@ class TestGroupOrderRoute:
         at 55103 but not at 55109, and 1999993 is the largest prime below
         the default ceiling."""
         for curve, big in ((c11, [p - 1] * 4 + [0] * 3), (g2b, [p - 1] * 7)):
-            assert curves._count_points_sweep(curve, p, big) == \
-                oracles.sweep_count(curve, p, big), (curve.label, p)
+            assert curves._count_points_sweep([big], p) == \
+                [oracles.sweep_count(curve, p, big)], (curve.label, p)
 
     def test_lazy_sweep_reduces_at_exactly_2_63(self, g2b):
         """F's coefficients are the base-(p - 1) digits of 2^63, so the last
@@ -188,7 +188,7 @@ class TestGroupOrderRoute:
             rest, digit = divmod(rest, p - 1)
             big.append(digit)
         assert len(big) == 7 and sum(c * (p - 1) ** i for i, c in enumerate(big)) == 2 ** 63
-        assert curves._count_points_sweep(g2b, p, big) == oracles.sweep_count(g2b, p, big)
+        assert curves._count_points_sweep([big], p) == [oracles.sweep_count(g2b, p, big)]
 
     def test_search_int64_bound(self, c11):
         """At the largest prime the search accepts, with every coefficient
@@ -199,7 +199,7 @@ class TestGroupOrderRoute:
         big = [p - 1] * 7
         want = oracles.bsgs_count(big, p)
         assert want is not None
-        assert curves._count_points_bsgs(big, np.array([p])).tolist() == [want]
+        assert curves._count_points_bsgs([tuple(big)], np.array([p])).tolist() == [want]
         assert count_points(c11, p, ceiling=p) == \
             oracles.bsgs_count([c % p for c in curves._square_completed(c11.f, c11.h)], p)
         with pytest.raises(CeilingExceeded):
@@ -209,7 +209,7 @@ class TestGroupOrderRoute:
         swept = []
         sweep = curves._count_points_sweep
         monkeypatch.setattr(curves, "_count_points_sweep",
-                            lambda curve, p, big: swept.append(p) or sweep(curve, p, big))
+                            lambda bigs, p: swept.append(p) or sweep(bigs, p))
         for p in (curves.MESTRE_BOUND, 233):
             assert count_points(c11, p) == oracles.legendre_count(c11, p)
         assert swept == [curves.MESTRE_BOUND]

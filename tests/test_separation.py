@@ -1,5 +1,5 @@
 import math
-from types import SimpleNamespace
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +11,8 @@ from frobsep.evaluators import PsiPairEvaluator
 from frobsep.separation import (CSV_HEADER, scan_csv, search_windows,
                                 windowed_search)
 from frobsep.store import TraceTable, sieve_primes
+
+Curve = namedtuple("Curve", "label conductor")     # what a search reads of a curve
 
 
 def synthetic_table(label, conductor, traces):
@@ -93,9 +95,9 @@ class TestLeastSeparatingPrime:
 
 
 def table_of(*tables):
-    """`table(curve, width)` serving fixed tables by label."""
+    """`tables({curve: width})` serving fixed tables by label."""
     by_label = {t.curve_label: t for t in tables}
-    return lambda curve, width: by_label[curve.label]
+    return lambda widths: {curve: by_label[curve.label] for curve in widths}
 
 
 class TestScan:
@@ -151,7 +153,7 @@ class TestWindowedSearch:
         widths = []
         serve = table_of(t11, t37)
         record = windowed_search(
-            c11, c37, lambda curve, width: widths.append(width) or serve(curve, width),
+            c11, c37, lambda asked: widths.extend(asked.values()) or serve(asked),
             3000)
         assert record == least_separating_prime(t11, t37, 3000)
         assert widths == [45, 45]
@@ -179,9 +181,8 @@ class TestWindowedSearch:
         widths = []
         serve = table_of(ta, tb)
         record = windowed_search(
-            SimpleNamespace(label="A", conductor=n_a),
-            SimpleNamespace(label="B", conductor=n_b),
-            lambda curve, width: widths.append(width) or serve(curve, width),
+            Curve(label="A", conductor=n_a), Curve(label="B", conductor=n_b),
+            lambda asked: widths.extend(asked.values()) or serve(asked),
             p_max)
         assert record == least_separating_prime(ta, tb, p_max)
         windows = search_windows(n_a, n_b, p_max)

@@ -4,12 +4,13 @@ import re
 from concurrent.futures import process
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from frobsep import CurveSpec, compute_range, export_csv, import_csv
+from frobsep import CurveSpec, compute_range, curves, export_csv, import_csv
 from frobsep import store
 from frobsep.errors import (CeilingExceeded, ConflictError, IncompleteTable,
                             SchemaError, ValidationError)
@@ -147,6 +148,31 @@ class TestWorkerPool:
         assert compute_range(c11, 5000, workers=10 ** 6) == compute_range(c11, 5000)
         assert started == [3]
 
+    def test_pool_starts_for_one_large_block(self, c11, c37, monkeypatch):
+        """A batch of many small blocks stays serial; one block of
+        _PARALLEL_THRESHOLD primes sends the whole batch to the pool."""
+        started = []
+
+        class Recording:                  # runs the chunks in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, args):
+                args = list(args)
+                started.append(len(args))
+                return map(fn, args)
+
+        monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 50)
+        small = {c11: 200, c37: 200}                      # 46 primes each
+        assert store.compute_ranges(small, workers=2) == \
+            {curve: compute_range(curve, 200) for curve in small}
+        assert started == []
+        large = {c11: 250, c37: 200}                      # 53 and 46 primes
+        assert store.compute_ranges(large, workers=2) == \
+            {curve: compute_range(curve, p_max) for curve, p_max in large.items()}
+        assert started == [2, 2]
+
     def test_negative_workers_rejected(self, c11):
         with pytest.raises(ValueError):
             compute_range(c11, 50, workers=-1)
@@ -242,6 +268,84 @@ class TestJoin:
         # a bucket cached without Euler factors is counted again for them
         assert compute_range(g2b, 99, with_lpoly=True, cache_dir=tmp_path) == \
             rows_of(rich, rich.p < 100)
+
+
+def random_curve(draw, label):
+    """A genus-1 or genus-2 model with small coefficients, or None when
+    `CurveSpec` rejects it."""
+    try:
+        if draw(st.booleans()):
+            return CurveSpec.elliptic(
+                label, draw(st.lists(st.integers(-9, 9), min_size=5, max_size=5)), 1)
+        return CurveSpec.hyperelliptic(
+            label, draw(st.lists(st.integers(-3, 3), min_size=7, max_size=7)),
+            draw(st.lists(st.integers(0, 1), min_size=4, max_size=4)), 1)
+    except ValidationError:
+        return None
+
+
+class TestComputeRanges:
+    """Tables counted together equal the tables of each curve alone."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def own_pool(self):
+        """The pooled batches get their own pool, dropped after the class."""
+        store._pool.cache_clear()
+        yield
+        store._pool.cache_clear()
+
+    @staticmethod
+    def one_by_one(p_maxes, **kw):
+        return {curve: compute_range(curve, p_max, **kw) for curve, p_max in p_maxes.items()}
+
+    @pytest.mark.parametrize("threshold", [None, 50])
+    def test_mixed_batch(self, c11, c37, c32, g2b, monkeypatch, threshold):
+        """p = 2 on 11a1, 37a1 ending at MESTRE_BOUND, both genera swept
+        at the same primes; 50 sends 11a1's block to the pool."""
+        p_maxes = {c11: 3000, c37: curves.MESTRE_BOUND, c32: 2, g2b: 1000}
+        if threshold is not None:
+            monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", threshold)
+        batch = store.compute_ranges(p_maxes, workers=1 if threshold is None else 2)
+        assert batch == self.one_by_one(p_maxes)
+        assert batch[c11].p[0] == 2 and batch[c11].good[0]
+
+    def test_euler_factors_for_genus_2_only(self, c11, g2b):
+        p_maxes = {c11: 500, g2b: 97}
+        batch = store.compute_ranges(p_maxes, with_lpoly=True)
+        assert batch == self.one_by_one(p_maxes, with_lpoly=True)
+        assert batch[c11].lpoly is None and batch[g2b].lpoly is not None
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.booleans())
+    def test_random_batches(self, data, n, pooled):
+        p_maxes = {}
+        for i in range(n):
+            curve = random_curve(data.draw, f"c{i}")
+            if curve is not None:
+                p_maxes[curve] = data.draw(st.integers(2, 3000))
+        assume(p_maxes)
+        with patch.object(store, "_PARALLEL_THRESHOLD", 100 if pooled else 10 ** 9):
+            batch = store.compute_ranges(p_maxes, workers=2)
+        assert batch == self.one_by_one(p_maxes)
+
+    def test_two_models_under_one_label(self, tmp_path, monkeypatch):
+        """Below a full bucket they are counted apart; a full bucket they
+        would both write is a conflict, found before anything is counted."""
+        first = CurveSpec.elliptic("E", (0, -1, 1, -10, -20), 11)    # 11a1
+        second = CurveSpec.elliptic("E", (0, 0, 1, -1, 0), 11)       # 37a1
+        monkeypatch.setattr(store, "CACHE_BUCKET", 100)
+        p_maxes = {first: 199, second: 199}
+        batch = store.compute_ranges(p_maxes)
+        assert batch == self.one_by_one(p_maxes)
+        assert (a_p_at(batch[first], 101), a_p_at(batch[second], 101)) == (2, 3)
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted before the conflict was found")
+
+        monkeypatch.setattr(store, "count_points_many", no_count)
+        with pytest.raises(ConflictError, match="two curves under one label"):
+            store.compute_ranges(p_maxes, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCache:
