@@ -100,17 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _table(curve: CurveSpec, p_max: int, args,
-           with_lpoly: bool = False) -> store.TraceTable:
-    return store.compute_range(
-        curve, p_max, with_lpoly=with_lpoly, ceiling=args.count_ceiling,
-        fp2_ceiling=args.fp2_ceiling, cache_dir=args.cache_dir,
-        workers=args.parallelism)
+def _counting(args) -> dict:
+    """Keywords of `store.compute_range(s)` set by the global flags."""
+    return dict(ceiling=args.count_ceiling, fp2_ceiling=args.fp2_ceiling,
+                cache_dir=args.cache_dir, workers=args.parallelism)
+
+
+def _tables(args):
+    """`tables({curve: width})` of the windowed search: one counting call."""
+    return lambda widths: store.compute_ranges(widths, **_counting(args))
 
 
 def _cmd_count(args, out) -> int:
     curve = CurveSpec.from_path(args.curve)
-    table = _table(curve, args.pmax, args, with_lpoly=args.lpoly)
+    table = store.compute_range(curve, args.pmax, with_lpoly=args.lpoly, **_counting(args))
     good = int(table.good.sum())
     print(f"curve {curve.label} genus {curve.genus} conductor {curve.conductor}",
           file=out)
@@ -173,8 +176,8 @@ def _cmd_sum(args, out) -> int:
         if args.curve_b is None:
             raise FrobsepError("psi sums need two curves")
         evaluator = PsiPairEvaluator(
-            _table(curve_a, p_max, args),
-            _table(CurveSpec.from_path(args.curve_b), p_max, args))
+            store.compute_range(curve_a, p_max, **_counting(args)),
+            store.compute_range(CurveSpec.from_path(args.curve_b), p_max, **_counting(args)))
     else:
         chi = symplectic.VirtualCharacter.from_path(args.chi)
         specs = [curve_a]
@@ -187,7 +190,8 @@ def _cmd_sum(args, out) -> int:
                 raise ValueError(
                     f"character rank {g} does not match genus of {curve.label}")
         evaluator = VirtualCharEvaluator(chi, *(
-            _table(curve, p_max, args, with_lpoly=True) for curve in specs))
+            store.compute_range(curve, p_max, with_lpoly=True, **_counting(args))
+            for curve in specs))
     print(kernels.KernelSumReport.CSV_HEADER, file=out)
     for x in ladder:
         report = kernels.weighted_sum(
@@ -196,29 +200,11 @@ def _cmd_sum(args, out) -> int:
     return EXIT_OK
 
 
-def _widest_tables(args):
-    """`tables({curve: width})` for the windowed search: each curve keeps its
-    widest table, and the curves that need a wider one are counted together."""
-    widest: dict[CurveSpec, tuple[int, store.TraceTable]] = {}
-
-    def tables(widths: dict) -> dict:
-        wider = {c: w for c, w in widths.items() if widest.get(c, (-1,))[0] < w}
-        if wider:
-            counted = store.compute_ranges(
-                wider, ceiling=args.count_ceiling, fp2_ceiling=args.fp2_ceiling,
-                cache_dir=args.cache_dir, workers=args.parallelism)
-            widest.update((c, (wider[c], table)) for c, table in counted.items())
-        return {c: widest[c][1] for c in widths}
-
-    return tables
-
-
 def _cmd_separate(args, out) -> int:
     curve_a = CurveSpec.from_path(args.curve_a)
     curve_b = CurveSpec.from_path(args.curve_b)
     store.check_p_max(args.pmax, args.count_ceiling)
-    record = separation.windowed_search(curve_a, curve_b, _widest_tables(args),
-                                        args.pmax)
+    record = separation.windowed_search(curve_a, curve_b, _tables(args), args.pmax)
     print(separation.CSV_HEADER, file=out)
     print(record.csv_row(), file=out)
     if record.least_prime is None:
@@ -231,15 +217,15 @@ def _cmd_scan(args, out) -> int:
     with open(args.corpus, "r", encoding="utf-8") as fh, parsing(args.corpus):
         names = [(str(a), str(b)) for a, b in json.load(fh)["pairs"]]
     base = os.path.dirname(os.path.abspath(args.corpus))
-    pairs = [tuple(CurveSpec.from_path(os.path.join(base, name)) for name in pair)
-             for pair in names]
+    files = dict.fromkeys(name for pair in names for name in pair)   # first appearance
+    specs = {name: CurveSpec.from_path(os.path.join(base, name)) for name in files}
     store.check_p_max(args.pmax, args.count_ceiling)
-    records = separation.separation_scan(pairs, _widest_tables(args), args.pmax)
+    records = separation.separation_scan([(specs[a], specs[b]) for a, b in names],
+                                         _tables(args), args.pmax)
     out.write(separation.scan_csv(records))
-    searched = [r for r in records if not r.note.startswith("skipped")]
-    if any(r.least_prime is None for r in searched):
-        return EXIT_DOMAIN
-    return EXIT_OK
+    unseparated = any(r.least_prime is None and not r.note.startswith("skipped")
+                      for r in records)
+    return EXIT_DOMAIN if unseparated else EXIT_OK
 
 
 def _cmd_kernel_check(args, out) -> int:

@@ -119,7 +119,10 @@ class CurveSpec:
 
     @cached_property                    # per lane in `count_points_many`
     def discriminant(self) -> int:
-        return _model_discriminant(self.genus, self.f, self.h)
+        """Discriminant of F = 4f + h^2 as a form of degree 2g + 2; over 2^8 in genus 1."""
+        big = _square_completed(self.f, self.h)
+        disc = _binary_form_discriminant(big[:2 * self.genus + 3])
+        return disc if self.genus == 2 else disc // 256
 
     def good_reduction(self, p: int) -> bool:
         """Smoothness of the reduced model: p does not divide the discriminant."""
@@ -140,13 +143,6 @@ def _square_completed(f: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]
         for j, cj in enumerate(h):
             big[i + j] += ci * cj
     return tuple(big)
-
-
-@lru_cache(maxsize=None)
-def _model_discriminant(genus: int, f: tuple[int, ...], h: tuple[int, ...]) -> int:
-    """Discriminant of F = 4f + h^2 as a form of degree 2g + 2; over 2^8 in genus 1."""
-    disc = _binary_form_discriminant(_square_completed(f, h)[:2 * genus + 3])
-    return disc if genus == 2 else disc // 256
 
 
 def _binary_form_discriminant(coeffs) -> int:

@@ -7,7 +7,8 @@ probe the least such prime against log(2 N N')^2.  That bound (with
 constant 1) is also the first window of the search: primes are counted to
 it, then to 8 times it, and so on up to the search bound, and the search
 stops at the first window that holds a separating prime.  A scan searches
-all its pairs in rounds, one table request for every pair still open.
+all its pairs in rounds; the search keeps each curve's widest table, and
+a round asks for a table only where some open pair needs a wider one.
 """
 
 from __future__ import annotations
@@ -32,10 +33,16 @@ class SeparationRecord:
     label_b: str
     conductor_a: int
     conductor_b: int
-    least_prime: int | None
-    log_bound: float
-    ratio: float | None
+    least_prime: int | None = None
     note: str = ""
+
+    @property
+    def log_bound(self) -> float:
+        return log_bound(self.conductor_a, self.conductor_b)
+
+    @property
+    def ratio(self) -> float | None:
+        return None if self.least_prime is None else self.least_prime / self.log_bound
 
     def csv_row(self) -> str:
         least = "" if self.least_prime is None else str(self.least_prime)
@@ -74,23 +81,8 @@ def least_separating_prime(table_a: TraceTable, table_b: TraceTable,
     hits = np.flatnonzero(
         table_a.good[rows_a] & table_b.good[rows_b]
         & (np.sign(table_a.a_p[rows_a]) * np.sign(table_b.a_p[rows_b]) < 0))
-    return _record((table_a.curve_label, table_a.conductor),
-                   (table_b.curve_label, table_b.conductor),
-                   found=int(primes[hits[0]]) if hits.size else None)
-
-
-def _record(a: tuple[str, int], b: tuple[str, int], *,
-            found: int | None = None, note: str = "") -> SeparationRecord:
-    """Record of the pair of (label, conductor) `a` and `b`."""
-    bound = log_bound(a[1], b[1])
-    return SeparationRecord(
-        label_a=a[0], label_b=b[0], conductor_a=a[1], conductor_b=b[1],
-        least_prime=found, log_bound=bound,
-        ratio=None if found is None else found / bound, note=note)
-
-
-def _key(curve) -> tuple[str, int]:
-    return curve.label, curve.conductor
+    return SeparationRecord(table_a.curve_label, table_b.curve_label, table_a.conductor,
+                            table_b.conductor, int(primes[hits[0]]) if hits.size else None)
 
 
 def search_windows(conductor_a: int, conductor_b: int, p_max: int) -> list[int]:
@@ -104,17 +96,16 @@ def search_windows(conductor_a: int, conductor_b: int, p_max: int) -> list[int]:
     return widths + [p_max]
 
 
-def windowed_search(curve_a, curve_b, tables, p_max: int, *,
-                    note_errors: bool = False) -> SeparationRecord:
+def windowed_search(curve_a, curve_b, tables, p_max: int) -> SeparationRecord:
     """`least_separating_prime` of the pair to p_max, counting no further
     than the first search window that holds a separating prime.
 
     `tables({curve: width})` returns `{curve: table}` covering the primes
-    <= each width, for curves with a `label` and a `conductor`.  An error
-    from `tables` propagates; with `note_errors`, a `FrobsepError` from the
-    search itself becomes the record's note instead.
+    <= each width, for curves with a `label` and a `conductor`; it is asked
+    only for curves whose window grew.  An error from `tables` or from the
+    search propagates.
     """
-    return _search_rounds([(curve_a, curve_b)], tables, p_max, note_errors)[0]
+    return _search_rounds([(curve_a, curve_b)], tables, p_max, note_errors=False)[0]
 
 
 def separation_scan(pairs, tables, p_max: int) -> list[SeparationRecord]:
@@ -125,30 +116,36 @@ def separation_scan(pairs, tables, p_max: int) -> list[SeparationRecord]:
     propagates."""
     found = iter(_search_rounds([(a, b) for a, b in pairs if a.label != b.label],
                                 tables, p_max, note_errors=True))
-    return [next(found) if a.label != b.label else
-            _record(_key(a), _key(b), note="skipped: identical labels") for a, b in pairs]
+    return [next(found) if a.label != b.label else SeparationRecord(
+        a.label, b.label, a.conductor, b.conductor, note="skipped: identical labels")
+        for a, b in pairs]
 
 
 def _search_rounds(pairs, tables, p_max: int, note_errors: bool) -> list[SeparationRecord]:
     """Windowed searches of `pairs`: round k makes one `tables` call for the
-    k-th window of every open pair, each curve at the widest one it needs."""
+    curves whose widest table is narrower than the k-th window of an open pair."""
     windows = [search_windows(a.conductor, b.conductor, p_max) for a, b in pairs]
+    held: dict = {}                     # curve: (width, table)
     records: list[SeparationRecord | None] = [None] * len(pairs)
     for k in range(max(map(len, windows), default=0)):
         todo = [i for i, record in enumerate(records) if record is None]
         widths: dict = {}
         for i in todo:
             for curve in pairs[i]:
-                widths[curve] = max(widths.get(curve, 0), windows[i][k])
-        got = tables(widths)
+                widths[curve] = max(widths.get(curve, -1), windows[i][k])
+        wider = {c: w for c, w in widths.items() if held.get(c, (-1,))[0] < w}
+        if wider:
+            got = tables(wider)
+            held.update((c, (w, got[c])) for c, w in wider.items())
         for i in todo:
             (a, b), width = pairs[i], windows[i][k]
             try:
-                record = least_separating_prime(got[a], got[b], width)
+                record = least_separating_prime(held[a][1], held[b][1], width)
             except FrobsepError as exc:
                 if not note_errors:
                     raise
-                record = _record(_key(a), _key(b), note=f"error: {exc}")
+                record = SeparationRecord(a.label, b.label, a.conductor, b.conductor,
+                                          note=f"error: {exc}")
             if record.least_prime is not None or record.note or width == p_max:
                 records[i] = record
     return records

@@ -24,6 +24,7 @@ from typing import Final
 
 import numpy as np
 
+from . import curves
 from .curves import (DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING, CurveSpec,
                      _first_invalid_row, count_points_many, euler_factor)
 from .errors import (CeilingExceeded, ConflictError, IncompleteTable,
@@ -155,6 +156,7 @@ def compute_ranges(p_maxes: dict[CurveSpec, int], *, with_lpoly: bool = False,
     twice = next((path for path in paths if paths.count(path) > 1), None)
     if twice is not None:
         raise ConflictError(f"two curves under one label would write {twice}")
+    _check_lanes(todo, with_lpoly, ceiling, fp2_ceiling)
     factors = _count_lanes(todo, with_lpoly, ceiling, fp2_ceiling, workers)
     ends = np.cumsum([len(primes) for _, primes, _, _ in todo])[:-1]
     for block, rows in zip(todo, np.split(factors, ends)):
@@ -180,6 +182,19 @@ def _join(curve: CurveSpec, blocks: list[TraceTable]) -> TraceTable:
     columns = {name: np.concatenate([getattr(b, name) for b in blocks])
                for name in ("p", "a_p", "good")}
     return TraceTable(curve.label, curve.conductor, curve.genus, lpoly=lpoly, **columns)
+
+
+def _check_lanes(todo, with_lpoly, ceiling, fp2_ceiling) -> None:
+    """Raise, before any lane is counted and through its guard, the ceiling
+    error of `todo` counted in one chunk, so any worker count names one prime."""
+    past = [(curve, p) for curve, primes, *_ in todo if with_lpoly and curve.genus == 2
+            for p in primes[primes * primes > fp2_ceiling].tolist() if not curve.is_bad(p)]
+    if past:                            # the F_{p^2} ceiling, at the first such lane
+        curves.count_points_Fp2(*past[0], ceiling=fp2_ceiling)
+    over = [(curve, p) for curve, primes, *_ in todo if curve.genus == 1
+            for p in primes[primes >= curves.SEARCH_PMAX].tolist() if not curve.is_bad(p)]
+    if over:                            # the search bound, at the largest such prime
+        count_points_many(*zip(*over), ceiling=ceiling)
 
 
 def _count_lanes(todo, with_lpoly, ceiling, fp2_ceiling, workers) -> np.ndarray:
@@ -214,21 +229,21 @@ def _pool(workers: int):
 
 
 def _count_chunk(args) -> np.ndarray:
-    """Euler factors of one chunk of lanes, curve curves[i] at primes[i]:
+    """Euler factors of one chunk of lanes, curve lanes[i] at primes[i]:
     the whole factor for genus 2 with `with_lpoly`, else (1, -a_p); zero
     rows at bad lanes."""
-    curves, primes, with_lpoly, ceiling, fp2_ceiling = args
-    good = np.array([not c.is_bad(p) for c, p in zip(curves, primes.tolist())],
+    lanes, primes, with_lpoly, ceiling, fp2_ceiling = args
+    good = np.array([not c.is_bad(p) for c, p in zip(lanes, primes.tolist())],
                     dtype=bool)
     factors = np.zeros((len(primes), 5), dtype=np.int64)
-    rich = good & np.array([with_lpoly and c.genus == 2 for c in curves], dtype=bool)
+    rich = good & np.array([with_lpoly and c.genus == 2 for c in lanes], dtype=bool)
     for row in np.flatnonzero(rich):
-        factors[row] = euler_factor(curves[row], int(primes[row]), ceiling=ceiling,
+        factors[row] = euler_factor(lanes[row], int(primes[row]), ceiling=ceiling,
                                     fp2_ceiling=fp2_ceiling)
     plain = np.flatnonzero(good & ~rich)
     if plain.size:
         factors[plain, 0] = 1
-        factors[plain, 1] = count_points_many([curves[i] for i in plain.tolist()],
+        factors[plain, 1] = count_points_many([lanes[i] for i in plain.tolist()],
                                               primes[plain], ceiling=ceiling) \
             - primes[plain] - 1
     return factors

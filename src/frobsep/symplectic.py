@@ -366,11 +366,7 @@ def inner_product(chi1: VirtualCharacter, chi2: VirtualCharacter) -> int:
 
 def trivial_multiplicity(chi: VirtualCharacter) -> int:
     """Multiplicity of the trivial representation, by quadrature."""
-    if chi.is_product_group:
-        triv = VirtualCharacter(chi.gs, {((), ()): 1})
-    else:
-        triv = trivial_char(chi.gs[0])
-    return inner_product(chi, triv)
+    return inner_product(chi, VirtualCharacter(chi.gs, {tuple(() for _ in chi.gs): 1}))
 
 
 def trivial_multiplicity_exact(chi: VirtualCharacter) -> int:

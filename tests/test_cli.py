@@ -91,6 +91,24 @@ class TestCount:
                         encoding="utf-8")
         assert compute_range(CurveSpec.from_path(path), 3000) == t11
 
+    def test_ceiling_error_same_at_any_parallelism(self, tmp_path, g2b, capsys,
+                                                   monkeypatch):
+        """p = 101 is the first prime past the F_{p^2} ceiling; it is named
+        before any lane is counted, whichever worker would count it."""
+        from frobsep import store
+
+        path = tmp_path / "g2b.json"
+        path.write_text(json.dumps(g2b.to_json()), encoding="utf-8")
+        counted = []
+        monkeypatch.setattr(store, "_count_lanes", lambda *args: counted.append(args))
+        errors = []
+        for n in ("1", "2"):
+            argv = ["--parallelism", n, "count", str(path), "--pmax", "5000", "--lpoly"]
+            assert run_cli(argv) == (2, "")
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: p^2=10201 above enumeration ceiling 10000\n"] * 2
+        assert counted == []
+
 
 class TestSum:
     def test_psi_ladder(self, curve_json):
@@ -235,6 +253,25 @@ class TestScan:
         assert counted == ["11a1", "37a1"]
         assert [line.split(",")[4] for line in text.splitlines()[1:4]] == ["5"] * 3
 
+    def test_each_file_read_once(self, curve_json, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.json"
+        a, b = str(curve_json["11a1"]), str(curve_json["37a1"])
+        corpus.write_text(json.dumps({"pairs": [[a, b], [b, a], [a, a], [b, b]]}),
+                          encoding="utf-8")
+        read, from_path = [], CurveSpec.from_path
+        monkeypatch.setattr(CurveSpec, "from_path", classmethod(
+            lambda cls, path: read.append(path) or from_path(path)))
+        assert run_cli(["scan", str(corpus), "--pmax", "100"])[0] == 0
+        assert read == [a, b]
+
+    def test_first_unreadable_file_named(self, curve_json, tmp_path, capsys):
+        corpus = tmp_path / "corpus.json"
+        a = str(curve_json["11a1"])
+        corpus.write_text(json.dumps({"pairs": [[a, "one.json"], ["two.json", a]]}),
+                          encoding="utf-8")
+        assert run_cli(["scan", str(corpus), "--pmax", "100"]) == (2, "")
+        assert "one.json" in capsys.readouterr().err
+
 
 class TestKernelCheck:
     def test_table(self):
@@ -367,6 +404,10 @@ class TestMalformedInput:
          "p_max must be >= 0, got -1"),
         (["sum", "curve.json", "curve.json", "--x", "1e400"], 1,
          "every x must be finite and >= 2"),
+        (["sum", "curve.json", "curve.json", "--x", "1e3,abc"], 1,
+         "bad --x list '1e3,abc'"),
+        (["sum", "curve.json", "--x", "1e3"], 2, "psi sums need two curves"),
+        (["kernel-check", "--y", ","], 1, "empty --y list"),
         (["kernel-check", "--y", "nan"], 1, "every y and T must be finite"),
         (["kernel-check", "--y", "2,inf"], 1, "every y and T must be finite"),
         (["kernel-check", "--y", "2", "--T", "nan"], 1, "every y and T must be finite"),
@@ -392,7 +433,8 @@ class TestMalformedInput:
             "corpus-missing-pairs", "sum-product-character-one-curve",
             "delta-g-mismatch", "delta-g2-mismatch", "delta-no-g", "delta-no-g2",
             "count-negative-pmax", "separate-negative-pmax",
-            "sum-infinite-x", "kernel-check-nan-y", "kernel-check-infinite-y",
+            "sum-infinite-x", "sum-bad-x-list", "sum-psi-one-curve",
+            "kernel-check-empty-y", "kernel-check-nan-y", "kernel-check-infinite-y",
             "kernel-check-nan-T", "kernel-check-infinite-T", "kernel-check-huge-T",
             "separate-missing-arguments", "count-missing-pmax", "parallelism-not-int",
             "unknown-flag-before-command"])

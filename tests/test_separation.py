@@ -133,6 +133,24 @@ class TestScan:
         with pytest.raises(TypeError, match="bug inside a pair"):
             separation_scan([(c11, c37)], table_of(t11, t37), 100)
 
+    def test_table_asked_only_where_the_window_grew(self):
+        """A shares its round-1 table of 211 primes with its wide pair (A, B),
+        which separates at once; the windows of (A, C) grow to 8 and 64,
+        still inside it, so only C is counted again."""
+        primes = sieve_primes(400).tolist()
+        signs = {"A": [1] * 78, "B": [-1] * 78, "C": [-1 if p == 61 else 1 for p in primes]}
+        conductors = {"A": 1, "B": 10 ** 6, "C": 1}
+        serve = table_of(*(synthetic_table(label, conductors[label], list(zip(primes, s)))
+                           for label, s in signs.items()))
+        a, b, c = (Curve(label, conductors[label]) for label in "ABC")
+        asked = []
+        records = separation_scan(
+            [(a, b), (a, c)],
+            lambda widths: asked.append({k.label: w for k, w in widths.items()})
+            or serve(widths), 400)
+        assert [r.least_prime for r in records] == [2, 61]
+        assert asked == [{"A": 211, "B": 211, "C": 1}, {"C": 8}, {"C": 64}]
+
     def test_csv_summary_row(self, c11, c37, t11, t37):
         records = separation_scan([(c11, c37)], table_of(t11, t37), 2000)
         text = scan_csv(records)
@@ -158,15 +176,11 @@ class TestWindowedSearch:
         assert record == least_separating_prime(t11, t37, 3000)
         assert widths == [45, 45]
 
-    def test_search_error_raises_unless_noted(self, c11, c37, t11, t37):
+    def test_search_error_raises(self, c11, c37, t11, t37):
         short = TraceTable(curve_label="37a1", conductor=37, genus=1,
                            p=t37.p[:2], a_p=t37.a_p[:2], good=t37.good[:2])
         with pytest.raises(IncompleteTable):
             windowed_search(c11, c37, table_of(t11, short), 100)
-        record = windowed_search(c11, c37, table_of(t11, short), 100,
-                                 note_errors=True)
-        assert record.least_prime is None
-        assert record.note == "error: 37a1: table lacks prime 5"
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 400),

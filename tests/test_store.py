@@ -119,10 +119,24 @@ class TestWorkerPool:
         assert tables[0] == tables[1] == tables[2]
 
     def test_worker_error_keeps_its_type(self, g2b, monkeypatch):
+        def past_ceiling(*args, **kw):
+            raise CeilingExceeded("raised in a worker")
+
         monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 8)
+        monkeypatch.setattr(curves, "count_points_Fp2", past_ceiling)  # before the fork
         with pytest.raises(CeilingExceeded) as excinfo:
-            compute_range(g2b, 200, with_lpoly=True, workers=2)   # F_{p^2} past p = 97
+            compute_range(g2b, 97, with_lpoly=True, workers=2)
         assert type(excinfo.value.__cause__).__name__ == "_RemoteTraceback"
+
+    def test_search_bound_error_same_for_any_worker_count(self, c11, monkeypatch):
+        """The 168 primes <= 1000 alternate between two workers, so 997 is
+        in the second chunk; the error still names it, as one worker does."""
+        monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 8)
+        monkeypatch.setattr(curves, "SEARCH_PMAX", 500)
+        for workers in (1, 2):
+            with pytest.raises(CeilingExceeded,
+                               match=r"^p=997 above the genus-1 search bound 500$"):
+                compute_range(c11, 1000, workers=workers)
 
     def test_broken_pool_is_replaced(self, c11):
         broken = store._pool(2)
@@ -471,6 +485,7 @@ class TestMetadataLine:
         (META.format(g="one"), "integers"),
         (META.format(g=0), "not 1 or 2"),
         (META.format(g=3), "not 1 or 2"),
+        (META.format(g=1).replace("label=x ", ""), "lacks label"),
     ])
     def test_malformed_metadata_is_schema_error(self, line, reason):
         with pytest.raises(SchemaError, match=reason):
@@ -482,6 +497,7 @@ class TestRowChecks:
 
     @pytest.mark.parametrize("row, message", [
         ("3,1,5,1,", "a_p != p \\+ 1"),
+        ("3,1,5", "expected 5 fields, got 3"),
         ("3,0,,1,", "carries trace data"),
         ("3,1,,1,", "lacks count/trace"),
         ("3,1,-6,10,", "Weil bound"),
