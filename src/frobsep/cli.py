@@ -16,10 +16,10 @@ import math
 import os
 import sys
 
-# numpy's OpenBLAS starts a thread per core at import; counting runs in worker
+# numpy's OpenBLAS starts a thread per core at import; counting runs in forked
 # processes, and one BLAS thread makes start-up cheaper. A set value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-from . import kernels, laurent, separation, store, symplectic
+from . import store
 from .curves import CurveSpec, DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING
 from .errors import FrobsepError, parsing
 from .evaluators import PsiPairEvaluator, TrivialEvaluator, VirtualCharEvaluator
@@ -60,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--kernel-a", type=float, default=0.25)
     parser.add_argument("--count-ceiling", type=int, default=DEFAULT_FP_CEILING)
     parser.add_argument("--fp2-ceiling", type=int, default=DEFAULT_FP2_CEILING)
-    parser.add_argument("--parallelism", type=int, default=0,
-                        help="worker processes for counting; 0 = auto")
+    parser.add_argument("--parallelism", type=int, default=0, metavar="N",
+                        help="N processes count: this one and N-1 children; 0 = per CPU")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="build or extend a trace table")
@@ -130,6 +130,7 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_delta(args, out) -> int:
+    from . import laurent, symplectic
     if args.character is not None:
         chi = symplectic.VirtualCharacter.from_path(args.character)
         name = f"chi[{os.path.basename(args.character)}]"
@@ -167,6 +168,7 @@ def _parse_x_ladder(text: str) -> list[float]:
 
 
 def _cmd_sum(args, out) -> int:
+    from . import kernels
     ladder = _parse_x_ladder(args.x)
     p_max = int(max(ladder))
     curve_a = CurveSpec.from_path(args.curve_a)   # checked even where unused
@@ -179,6 +181,7 @@ def _cmd_sum(args, out) -> int:
             store.compute_range(curve_a, p_max, **_counting(args)),
             store.compute_range(CurveSpec.from_path(args.curve_b), p_max, **_counting(args)))
     else:
+        from . import symplectic
         chi = symplectic.VirtualCharacter.from_path(args.chi)
         specs = [curve_a]
         if chi.is_product_group:
@@ -201,6 +204,7 @@ def _cmd_sum(args, out) -> int:
 
 
 def _cmd_separate(args, out) -> int:
+    from . import separation
     curve_a = CurveSpec.from_path(args.curve_a)
     curve_b = CurveSpec.from_path(args.curve_b)
     store.check_p_max(args.pmax, args.count_ceiling)
@@ -214,6 +218,7 @@ def _cmd_separate(args, out) -> int:
 
 
 def _cmd_scan(args, out) -> int:
+    from . import separation
     with open(args.corpus, "r", encoding="utf-8") as fh, parsing(args.corpus):
         names = [(str(a), str(b)) for a, b in json.load(fh)["pairs"]]
     base = os.path.dirname(os.path.abspath(args.corpus))
@@ -229,6 +234,7 @@ def _cmd_scan(args, out) -> int:
 
 
 def _cmd_kernel_check(args, out) -> int:
+    from . import kernels
     ys = [float(v) for v in args.y.split(",") if v]
     if not ys:
         raise ValueError("empty --y list")

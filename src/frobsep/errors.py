@@ -35,6 +35,10 @@ class SchemaError(FrobsepError):
     """Trace-table CSV has a malformed header or metadata line."""
 
 
+class ChildFailed(FrobsepError):
+    """A counting child process ended without a result."""
+
+
 class ValidationError(FrobsepError):
     """A table entry violates an invariant (Weil bound, ordering, ...).
 

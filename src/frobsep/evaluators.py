@@ -15,7 +15,6 @@ from typing import Protocol
 
 import numpy as np
 
-from . import symplectic
 from .errors import MissingEigendata
 from .store import TraceTable
 
@@ -54,6 +53,7 @@ class TautologicalEvaluator:
     def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray:
         if r == 1:
             return self.table.a_p[self.table.rows(primes)] / np.sqrt(primes)
+        from . import symplectic
         return symplectic.power_map(self.elementary(primes), r)[:, 1]
 
     def elementary(self, primes: np.ndarray) -> np.ndarray:
@@ -80,6 +80,7 @@ class PsiPairEvaluator:
         self.b = TautologicalEvaluator(table_b)
         self.g = table_a.genus
         self.g2 = table_b.genus
+        from . import symplectic
         self.delta = symplectic.psi_character(self.g, self.g2).trivial_coefficient
 
     def good(self, primes: np.ndarray) -> np.ndarray:
@@ -111,5 +112,6 @@ class VirtualCharEvaluator:
         return np.logical_and.reduce([e.good(primes) for e in self._taut])
 
     def values(self, primes: np.ndarray, r: int = 1) -> np.ndarray:
+        from . import symplectic
         return self.chi.values(*(symplectic.power_map(taut.elementary(primes), r)
                                  for taut in self._taut))

@@ -7,15 +7,15 @@ primes each and are written atomically (temp file + rename, single
 writer).  All stored values are integers; normalized traces are
 recomputed on demand to avoid precision drift.  Many curves are counted
 together as lanes (curve, prime), in chunks of interleaved lanes, one batch
-counting call per chunk; parallel counts use one process pool per process,
-so the fork is paid once, not once per table.
+counting call per chunk; a parallel count forks its children for that call
+alone and reaps them before it returns.
 """
 
 from __future__ import annotations
 
 import array
-import functools
 import os
+import pickle
 import re
 import tempfile
 from dataclasses import dataclass, fields
@@ -27,7 +27,7 @@ import numpy as np
 from . import curves
 from .curves import (DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING, CurveSpec,
                      _first_invalid_row, count_points_many, euler_factor)
-from .errors import (CeilingExceeded, ConflictError, IncompleteTable,
+from .errors import (CeilingExceeded, ChildFailed, ConflictError, IncompleteTable,
                      SchemaError, ValidationError)
 
 CSV_HEADER: Final = "p,good,count_fp,a_p,lpoly"
@@ -35,7 +35,7 @@ METADATA_PREFIX: Final = "# frobsep-trace-table"
 CACHE_BUCKET: Final = 100_000
 CACHE_ENV_VAR: Final = "FROBSEP_CACHE"
 _LABEL_RE: Final = re.compile(r"^[A-Za-z0-9._-]+$")
-_PARALLEL_THRESHOLD: Final = 500   # primes of one curve's block; below, pools lose
+_PARALLEL_THRESHOLD: Final = 500   # primes of one curve's block; below, forks lose
 
 
 def sieve_primes(n: int) -> np.ndarray:
@@ -132,15 +132,17 @@ def compute_ranges(p_maxes: dict[CurveSpec, int], *, with_lpoly: bool = False,
     full buckets, which are read first; every block left, across all curves,
     is counted as one set of lanes (curve, prime).  Buckets are joined in
     ascending-prime order whatever the worker count, so repeated runs export
-    byte-identical files.  `workers` 0 means one per CPU; more than the CPU
-    count are never started.  Only genus 2 stores Euler factors, so
-    `with_lpoly` is ignored for genus 1.
+    byte-identical files.  `workers` 0 means one per CPU this process may
+    run on; more than those are never used.  Only genus 2 stores Euler
+    factors, so `with_lpoly` is ignored for genus 1.
     """
     for p_max in p_maxes.values():
         check_p_max(p_max, ceiling)
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    workers = min(workers or os.cpu_count() or 1, os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers or cpus, cpus) if hasattr(os, "fork") else 1
     every = sieve_primes(max(p_maxes.values(), default=0))
     blocks = []         # [curve, primes, full bucket's path or None, table or None]
     for curve, p_max in p_maxes.items():
@@ -199,33 +201,56 @@ def _check_lanes(todo, with_lpoly, ceiling, fp2_ceiling) -> None:
 
 def _count_lanes(todo, with_lpoly, ceiling, fp2_ceiling, workers) -> np.ndarray:
     """`_count_chunk` of the lanes of every (curve, primes, ...) block of
-    `todo`, in order.  With a pool, each worker gets one interleaved chunk
-    of all the lanes: chunks cost alike, where contiguous ones grow with p,
-    and each pays the counting kernel's fixed cost once."""
+    `todo`, in order.  In parallel, this process and `workers` - 1 forked
+    children each count one interleaved chunk of all the lanes: chunks cost
+    alike, where contiguous ones grow with p, and each pays the fixed cost once."""
     lanes = [curve for curve, block, *_ in todo for _ in range(len(block))]
     primes = np.concatenate([np.zeros(0, np.int64), *(block for _, block, *_ in todo)])
     k = workers if any(len(block) >= _PARALLEL_THRESHOLD for _, block, *_ in todo) else 1
     args = [(lanes[i::k], primes[i::k], with_lpoly, ceiling, fp2_ceiling)
             for i in range(k)]
     factors = np.zeros((len(primes), 5), dtype=np.int64)
-    parts = map(_count_chunk, args)
-    if k > 1:
-        from concurrent.futures.process import BrokenProcessPool     # see `_pool`
-        try:
-            parts = list(_pool(workers).map(_count_chunk, args))
-        except BrokenProcessPool:
-            _pool.cache_clear()     # a broken pool is never handed out again
-            raise
-    for i, part in enumerate(parts):
+    reaps = []
+    try:
+        for chunk in args[1:]:
+            reaps.append(_fork(chunk))
+        factors[0::k] = _count_chunk(args[0])
+    finally:
+        parts = [reap() for reap in reaps]    # even when a fork or chunk 0 raised
+    for i, part in enumerate(parts, start=1):
+        if isinstance(part, BaseException):
+            raise part
         factors[i::k] = part
     return factors
 
 
-@functools.cache
-def _pool(workers: int):
-    """The process's one pool of `workers`; joined at interpreter exit."""
-    from concurrent.futures.process import ProcessPoolExecutor   # 16-26 ms: pools only
-    return ProcessPoolExecutor(max_workers=workers)
+def _fork(chunk):
+    """Fork a child that pickles `_count_chunk(chunk)`, or its error, to a
+    pipe.  Returns the function that reads the pipe to EOF, reaps the child
+    and returns its factors or the exception to raise."""
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:         # the child: its body ends in os._exit
+        try:
+            try:
+                result = _count_chunk(chunk)
+            except BaseException as exc:    # raised again, with its type, by the parent
+                import traceback
+                exc.__notes__ = [traceback.format_exc()]    # shows any earlier note
+                result = pickle.loads(pickle.dumps(exc))   # one that cannot load fails here
+            with open(write, "wb") as fh:
+                pickle.dump(result, fh)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+
+    def reap():
+        with open(read, "rb") as fh:
+            data = fh.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return pickle.loads(data) if status == 0 else ChildFailed(
+            f"counting child {pid} ended with exit status {status} and no result")
+    return reap
 
 
 def _count_chunk(args) -> np.ndarray:

@@ -451,9 +451,11 @@ class TestMalformedInput:
 
 
 class TestRuntimeImports:
-    """sum, delta and small counts run without scipy.optimize, sympy and the
-    worker pool's module; `import frobsep` loads no numpy, and the CLI
-    starts OpenBLAS with one thread unless the caller set a count."""
+    """sum, delta and small counts run without scipy.optimize and sympy; no
+    subcommand loads a process pool's modules; count, separate and scan
+    load no kernel sums or character theory; `import frobsep` loads no
+    numpy, and the CLI starts OpenBLAS with one thread unless the caller
+    set a count."""
 
     PROBE = (
         "import runpy, sys\n"
@@ -462,10 +464,12 @@ class TestRuntimeImports:
         "    runpy.run_module('frobsep', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print('exit', code, sorted(m for m in ('scipy.optimize', 'sympy',\n"
-        "                                       'concurrent.futures.process')\n"
-        "                           if m in sys.modules))\n"
+        "print('exit', code, sorted(m for m in (\n"
+        "    'scipy.optimize', 'sympy', 'concurrent.futures.process', 'multiprocessing',\n"
+        "    'frobsep.kernels', 'frobsep.symplectic', 'frobsep.laurent')\n"
+        "    if m in sys.modules))\n"
     )
+    CHARACTERS = "'frobsep.kernels', 'frobsep.laurent', 'frobsep.symplectic'"
 
     def run_python(self, code, args, cwd, **preset):
         done = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
@@ -482,18 +486,34 @@ class TestRuntimeImports:
         last = self.run_module(["--cache-dir", str(tmp_path / "cache"), "sum",
                                 str(curve_json["11a1"]), str(g2_path),
                                 "--x", "1e3"], tmp_path)
-        assert last == "exit 0 []"
+        assert last == f"exit 0 [{self.CHARACTERS}]"
 
     def test_every_export_resolves(self):
         assert [name for name in frobsep.__all__ if not hasattr(frobsep, name)] == []
 
     def test_delta_22(self, tmp_path):
-        assert self.run_module(["delta", "--g", "2", "--g2", "2"],
-                               tmp_path) == "exit 0 []"
+        assert self.run_module(["delta", "--g", "2", "--g2", "2"], tmp_path) == \
+            "exit 0 ['frobsep.laurent', 'frobsep.symplectic']"
 
     def test_count_below_pool_threshold(self, curve_json, tmp_path):
         assert self.run_module(["count", str(curve_json["11a1"]), "--pmax", "97"],
                                tmp_path) == "exit 0 []"
+
+    @pytest.mark.parametrize("command", ["count", "separate", "scan"])
+    def test_counting_commands_load_no_character_theory(self, command, curve_json,
+                                                        tmp_path):
+        """At --parallelism 2; count's 669 primes fork a child."""
+        a, b = str(curve_json["11a1"]), str(curve_json["37a1"])
+        (tmp_path / "corpus.json").write_text(json.dumps({"pairs": [[a, b]]}),
+                                              encoding="utf-8")
+        args = {"count": [a], "separate": [a, b], "scan": ["corpus.json"]}[command]
+        assert self.run_module(["--parallelism", "2", command, *args, "--pmax", "5000"],
+                               tmp_path) == "exit 0 []"
+
+    def test_kernel_check_loads_no_pool(self, tmp_path):
+        last = self.run_module(["kernel-check", "--y", "1.5", "--T", "1000"], tmp_path)
+        assert last.startswith("exit 0 [")
+        assert "multiprocessing" not in last and "concurrent" not in last
 
     def test_package_import_defers_numpy(self, tmp_path):
         probe = "import sys, frobsep; print('numpy' in sys.modules)"

@@ -1,8 +1,6 @@
 import math
 import os
 import re
-from concurrent.futures import process
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -12,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from frobsep import CurveSpec, compute_range, curves, export_csv, import_csv
 from frobsep import store
-from frobsep.errors import (CeilingExceeded, ConflictError, IncompleteTable,
-                            SchemaError, ValidationError)
+from frobsep.errors import (CeilingExceeded, ChildFailed, ConflictError,
+                            IncompleteTable, SchemaError, ValidationError)
 from frobsep.store import (CSV_HEADER, TraceTable, bad_prime_sets, from_csv_text,
                            sieve_primes, to_csv_text)
 
@@ -86,29 +84,52 @@ class TestComputeRange:
 
 
 class TestWorkerPool:
-    """One executor per process and worker count, never more workers than CPUs.
-    `store` imports the executor class when it first builds a pool, so the
-    tests replace it in `concurrent.futures.process`."""
+    """This process counts chunk 0 and a child forked for the call each other
+    chunk, never more processes than the CPUs this process may run on.  The
+    tests see 2 such CPUs, so none starts more than one child at a time."""
 
     @pytest.fixture(autouse=True)
-    def fresh_pools(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)   # at most 2 processes
-        store._pool.cache_clear()
-        yield
-        store._pool.cache_clear()
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
-    def test_one_executor_for_two_tables(self, c11, c37, monkeypatch):
-        built = []
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Lanes of each chunk handed to `_fork`, which counts it here and
+        starts no process."""
+        started = []
 
-        class Counted(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                built.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def recording(chunk):
+            started.append(len(chunk[0]))
+            part = store._count_chunk(chunk)
+            return lambda: part
 
-        monkeypatch.setattr(process, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(store, "_fork", recording)
+        return started
+
+    @staticmethod
+    def in_child(fn, *args):
+        """`fn(*args)`, called in a forked child only; the parent counts as usual."""
+        parent, count = os.getpid(), store._count_chunk
+        return lambda chunk: count(chunk) if os.getpid() == parent else fn(*args)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_two_tables_leave_no_child(self, c11, c37, monkeypatch):
+        forked, fork = [], os.fork
+
+        def counted():
+            forked.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
         for curve in (c11, c37):
             assert compute_range(curve, 5000, workers=2) == compute_range(curve, 5000)
-        assert built == [2]
+        assert len(forked) == 2
+        self.assert_no_child_left()
 
     def test_same_table_for_any_worker_count(self, c11, g2b, monkeypatch):
         tables = [compute_range(c11, 5000, workers=w) for w in (1, 2, 0)]
@@ -119,14 +140,32 @@ class TestWorkerPool:
         assert tables[0] == tables[1] == tables[2]
 
     def test_worker_error_keeps_its_type(self, g2b, monkeypatch):
-        def past_ceiling(*args, **kw):
-            raise CeilingExceeded("raised in a worker")
+        def past_ceiling():
+            raise CeilingExceeded("raised in a child")
 
         monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 8)
-        monkeypatch.setattr(curves, "count_points_Fp2", past_ceiling)  # before the fork
+        monkeypatch.setattr(store, "_count_chunk", self.in_child(past_ceiling))
         with pytest.raises(CeilingExceeded) as excinfo:
             compute_range(g2b, 97, with_lpoly=True, workers=2)
-        assert type(excinfo.value.__cause__).__name__ == "_RemoteTraceback"
+        assert str(excinfo.value) == "raised in a child"
+        child_traceback, = excinfo.value.__notes__
+        assert child_traceback.startswith("Traceback (most recent call last)")
+        assert "in past_ceiling" in child_traceback
+        self.assert_no_child_left()
+
+    def test_own_error_waits_for_children(self, c11, monkeypatch):
+        """Chunk 0 raises in this process; the child is still reaped first."""
+        parent, count = os.getpid(), store._count_chunk
+
+        def fails_here(chunk):
+            if os.getpid() == parent:
+                raise CeilingExceeded("raised in the parent")
+            return count(chunk)
+
+        monkeypatch.setattr(store, "_count_chunk", fails_here)
+        with pytest.raises(CeilingExceeded, match="^raised in the parent$"):
+            compute_range(c11, 5000, workers=2)
+        self.assert_no_child_left()
 
     def test_search_bound_error_same_for_any_worker_count(self, c11, monkeypatch):
         """The 168 primes <= 1000 alternate between two workers, so 997 is
@@ -138,54 +177,41 @@ class TestWorkerPool:
                                match=r"^p=997 above the genus-1 search bound 500$"):
                 compute_range(c11, 1000, workers=workers)
 
-    def test_broken_pool_is_replaced(self, c11):
-        broken = store._pool(2)
-        assert isinstance(broken.submit(os._exit, 1).exception(timeout=60),
-                          BrokenProcessPool)
-        with pytest.raises(BrokenProcessPool):
+    def test_child_without_result(self, c11, monkeypatch):
+        count = store._count_chunk
+        monkeypatch.setattr(store, "_count_chunk", self.in_child(os._exit, 1))
+        with pytest.raises(ChildFailed, match=r"ended with exit status 1 and no result$"):
             compute_range(c11, 5000, workers=2)
+        self.assert_no_child_left()
+        monkeypatch.setattr(store, "_count_chunk", count)
         assert compute_range(c11, 5000, workers=2) == compute_range(c11, 5000)
-        assert store._pool(2) is not broken
 
-    def test_workers_clamped_to_cpu_count(self, c11, monkeypatch):
-        started = []
+    def test_workers_clamped_to_cpu_count(self, c11, forks, monkeypatch):
+        """The CPUs this process may run on, not the machine's count."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        for workers in (10 ** 6, 0):
+            assert compute_range(c11, 5000, workers=workers) == compute_range(c11, 5000)
+        assert forks == [223, 223, 223, 223]             # 669 primes in 3 chunks
 
-        class Recording:                  # runs the chunks in this process
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def map(self, fn, args):
-                return map(fn, args)
-
-        monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert compute_range(c11, 5000, workers=10 ** 6) == compute_range(c11, 5000)
-        assert started == [3]
-
-    def test_pool_starts_for_one_large_block(self, c11, c37, monkeypatch):
+    def test_fork_for_one_large_block(self, c11, c37, forks, monkeypatch):
         """A batch of many small blocks stays serial; one block of
-        _PARALLEL_THRESHOLD primes sends the whole batch to the pool."""
-        started = []
-
-        class Recording:                  # runs the chunks in this process
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def map(self, fn, args):
-                args = list(args)
-                started.append(len(args))
-                return map(fn, args)
-
-        monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
+        _PARALLEL_THRESHOLD primes sends the whole batch to a child and this
+        process."""
         monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 50)
         small = {c11: 200, c37: 200}                      # 46 primes each
         assert store.compute_ranges(small, workers=2) == \
             {curve: compute_range(curve, 200) for curve in small}
-        assert started == []
+        assert forks == []
         large = {c11: 250, c37: 200}                      # 53 and 46 primes
         assert store.compute_ranges(large, workers=2) == \
             {curve: compute_range(curve, p_max) for curve, p_max in large.items()}
-        assert started == [2, 2]
+        assert forks == [49]
+
+    def test_serial_without_fork(self, c11, forks, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert compute_range(c11, 5000, workers=2) == compute_range(c11, 5000)
+        assert forks == []
 
     def test_negative_workers_rejected(self, c11):
         with pytest.raises(ValueError):
@@ -301,13 +327,6 @@ def random_curve(draw, label):
 class TestComputeRanges:
     """Tables counted together equal the tables of each curve alone."""
 
-    @pytest.fixture(autouse=True, scope="class")
-    def own_pool(self):
-        """The pooled batches get their own pool, dropped after the class."""
-        store._pool.cache_clear()
-        yield
-        store._pool.cache_clear()
-
     @staticmethod
     def one_by_one(p_maxes, **kw):
         return {curve: compute_range(curve, p_max, **kw) for curve, p_max in p_maxes.items()}
@@ -315,7 +334,7 @@ class TestComputeRanges:
     @pytest.mark.parametrize("threshold", [None, 50])
     def test_mixed_batch(self, c11, c37, c32, g2b, monkeypatch, threshold):
         """p = 2 on 11a1, 37a1 ending at MESTRE_BOUND, both genera swept
-        at the same primes; 50 sends 11a1's block to the pool."""
+        at the same primes; 50 sends 11a1's block to a child."""
         p_maxes = {c11: 3000, c37: curves.MESTRE_BOUND, c32: 2, g2b: 1000}
         if threshold is not None:
             monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", threshold)
@@ -331,14 +350,14 @@ class TestComputeRanges:
 
     @settings(max_examples=25, deadline=None)
     @given(st.data(), st.integers(1, 4), st.booleans())
-    def test_random_batches(self, data, n, pooled):
+    def test_random_batches(self, data, n, forked):
         p_maxes = {}
         for i in range(n):
             curve = random_curve(data.draw, f"c{i}")
             if curve is not None:
                 p_maxes[curve] = data.draw(st.integers(2, 3000))
         assume(p_maxes)
-        with patch.object(store, "_PARALLEL_THRESHOLD", 100 if pooled else 10 ** 9):
+        with patch.object(store, "_PARALLEL_THRESHOLD", 100 if forked else 10 ** 9):
             batch = store.compute_ranges(p_maxes, workers=2)
         assert batch == self.one_by_one(p_maxes)
 
