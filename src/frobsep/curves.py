@@ -12,9 +12,9 @@ Every other lane, and any the search leaves undecided within its point
 budget, goes through a uint8 square table and a blocked Horner sweep over
 all of F_p, one pass per prime for all its curves, reduced mod p only
 where int64 could overflow; the tests keep the sweep and a scalar search
-as references for the group-order route.  Genus-2 quartic Euler factors
-additionally count over F_{p^2}, where the norm map to F_p reads the root
-counts off the same square table.
+as references for the group-order route.  `euler_factors` adds the a_2 of
+genus-2 lanes from counts over F_{p^2}, where the norm map to F_p reads the
+root counts off the same square table.
 """
 
 from __future__ import annotations
@@ -185,10 +185,26 @@ def _bareiss_det(m: list[list[int]]) -> int:
 # counting over F_p
 
 
-def _check_good(curves: Iterable[CurveSpec], primes: Iterable[int]):
-    bad = next(((c, p) for c, p in zip(curves, primes) if c.discriminant % p == 0), None)
-    if bad is not None:
-        raise BadReduction(f"{bad[0].label}: p={bad[1]} divides the model discriminant")
+def check_lanes(curves: list[CurveSpec], primes, *, ceiling: int | None = None,
+                fp2_ceiling: int | None = None) -> None:
+    """The one guard pass of the lanes (curves[i], primes[i]).  Raises, in order, at the
+    largest prime past `ceiling`, the first model bad at p, with `fp2_ceiling` the first
+    genus-2 lane whose p^2 is past it, and the largest genus-1 prime past the search bound."""
+    primes = np.asarray(primes)         # objects when beyond int64
+    if ceiling is not None and primes.size and primes.max() > ceiling:
+        raise CeilingExceeded(f"p={primes.max()} above counting ceiling {ceiling}")
+    for curve, p in zip(curves, primes.tolist()):
+        if curve.discriminant % p == 0:
+            raise BadReduction(f"{curve.label}: p={p} divides the model discriminant")
+    genus = np.array([c.genus for c in curves], dtype=np.int64)
+    if fp2_ceiling is not None:         # p^2 > c exactly when p > isqrt(c)
+        past = primes[(genus == 2) & (primes > math.isqrt(fp2_ceiling))]
+        if past.size:
+            p = int(past[0])
+            raise CeilingExceeded(f"p^2={p * p} above enumeration ceiling {fp2_ceiling}")
+    over = primes[(genus == 1) & (primes >= SEARCH_PMAX)]
+    if over.size:
+        raise CeilingExceeded(f"p={over.max()} above the genus-1 search bound {SEARCH_PMAX}")
 
 
 def count_points(curve: CurveSpec, p: int, *,
@@ -207,23 +223,13 @@ def count_points_many(curves, primes, *,
     search, which accepts p < SEARCH_PMAX only; every other lane, and any
     the search leaves undecided, is swept, one pass per prime.
     """
-    try:
-        primes = np.asarray(primes, dtype=np.int64)
-    except OverflowError:
-        raise CeilingExceeded(f"a prime above counting ceiling {ceiling}") from None
-    counts = np.zeros(len(primes), dtype=np.int64)
-    if not primes.size:
-        return counts
-    if primes.max() > ceiling:
-        raise CeilingExceeded(f"p={primes.max()} above counting ceiling {ceiling}")
     lanes = [curves] * len(primes) if isinstance(curves, CurveSpec) else list(curves)
-    _check_good(lanes, primes.tolist())
+    check_lanes(lanes, primes, ceiling=ceiling)
+    primes = np.asarray(primes, dtype=np.int64)
+    counts = np.zeros(len(primes), dtype=np.int64)
     bigs = [_square_completed(c.f, c.h) for c in lanes]
-    searched = (primes > MESTRE_BOUND) & np.array([c.genus == 1 for c in lanes])
+    searched = (primes > MESTRE_BOUND) & np.array([c.genus == 1 for c in lanes], dtype=bool)
     if searched.any():
-        if primes[searched].max() >= SEARCH_PMAX:
-            raise CeilingExceeded(f"p={primes[searched].max()} above the genus-1 "
-                                  f"search bound {SEARCH_PMAX}")
         counts[searched] = _count_points_bsgs(
             [bigs[i] for i in np.flatnonzero(searched).tolist()], primes[searched])
     by_prime: dict[int, list[int]] = {}
@@ -536,9 +542,7 @@ def count_points_Fp2(curve: CurveSpec, p: int, *,
     """
     if curve.genus != 2:
         raise UnsupportedModel("F_{p^2} counts are only needed for genus 2")
-    if p * p > ceiling:
-        raise CeilingExceeded(f"p^2={p * p} above enumeration ceiling {ceiling}")
-    _check_good([curve], [p])          # genus-2 models are all bad at 2
+    check_lanes([curve], [p], fp2_ceiling=ceiling)    # genus-2 models are all bad at 2
     n = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)
     u = np.repeat(np.arange(p, dtype=np.int64), p)     # x = u + v t
     v = np.tile(np.arange(p, dtype=np.int64), p)
@@ -556,23 +560,39 @@ def count_points_Fp2(curve: CurveSpec, p: int, *,
 # Euler factors and eigenvalue angles
 
 
+def euler_factors(lanes: list[CurveSpec], primes, *, lpoly: bool = True,
+                  ceiling: int = DEFAULT_FP_CEILING,
+                  fp2_ceiling: int = DEFAULT_FP2_CEILING) -> np.ndarray:
+    """Euler-factor rows of the lanes (lanes[i], primes[i]), ascending in T and zero-padded
+    to 5 columns, or only (1, -a_1) without `lpoly`: every a_1 from one `count_points_many`
+    call, Weil bound asserted, and each genus-2 a_2 from an F_{p^2} count."""
+    primes = np.asarray(primes)         # objects when beyond int64: the count raises
+    a1 = primes + 1 - count_points_many(lanes, primes, ceiling=ceiling)
+    genus = np.array([c.genus for c in lanes], dtype=np.int64)
+    weil = np.flatnonzero(a1 * a1 > 4 * genus * genus * primes)
+    if weil.size:
+        i = int(weil[0])
+        raise ValidationError(f"{lanes[i].label}: |a_{primes[i]}| = {abs(a1[i])} "
+                              "violates the Weil bound")
+    rows = np.zeros((len(primes), 5), dtype=np.int64)
+    rows[:, 0], rows[:, 1] = 1, -a1
+    rows[:, 2] = np.where((genus == 1) & lpoly, primes, 0)
+    for i in np.flatnonzero((genus == 2) & lpoly).tolist():
+        p, a = int(primes[i]), int(a1[i])
+        s2 = p * p + 1 - count_points_Fp2(lanes[i], p, ceiling=fp2_ceiling)
+        if (a * a - s2) % 2 != 0:
+            raise ArithmeticError(f"{lanes[i].label}: inconsistent power sums at p={p}")
+        rows[i, 2:] = (a * a - s2) // 2, -p * a, p * p
+    return rows
+
+
 def euler_factor(curve: CurveSpec, p: int, *,
                  ceiling: int = DEFAULT_FP_CEILING,
                  fp2_ceiling: int = DEFAULT_FP2_CEILING) -> tuple[int, ...]:
     """Integer Euler-factor coefficients, ascending in T (degree 2*genus),
-    with the Weil bound on the trace asserted."""
-    a1 = p + 1 - count_points(curve, p, ceiling=ceiling)
-    if a1 * a1 > 4 * curve.genus * curve.genus * p:
-        raise ValidationError(
-            f"{curve.label}: |a_{p}| = {abs(a1)} violates the Weil bound")
-    if curve.genus == 1:
-        return (1, -a1, p)
-    n2 = count_points_Fp2(curve, p, ceiling=fp2_ceiling)
-    s2 = p * p + 1 - n2
-    if (a1 * a1 - s2) % 2 != 0:
-        raise ArithmeticError(f"{curve.label}: inconsistent power sums at p={p}")
-    a2 = (a1 * a1 - s2) // 2
-    return (1, -a1, a2, -p * a1, p * p)
+    Weil bound asserted: the one-lane case of `euler_factors`."""
+    row = euler_factors([curve], [p], ceiling=ceiling, fp2_ceiling=fp2_ceiling)[0]
+    return tuple(row[:2 * curve.genus + 1].tolist())
 
 
 def unitarized_roots(lpoly, p: int) -> np.ndarray:

@@ -6,9 +6,9 @@ so expensive counts happen once; cache files hold one full bucket of
 primes each and are written atomically (temp file + rename, single
 writer).  All stored values are integers; normalized traces are
 recomputed on demand to avoid precision drift.  Many curves are counted
-together as lanes (curve, prime), in chunks of interleaved lanes, one batch
-counting call per chunk; a parallel count forks its children for that call
-alone and reaps them before it returns.
+together as lanes (curve, prime): one guard pass, then one `curves.euler_factors`
+call per chunk of interleaved lanes; a parallel count forks its children for
+that call alone and reaps them before it returns.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import curves
 from .curves import (DEFAULT_FP2_CEILING, DEFAULT_FP_CEILING, CurveSpec,
-                     _first_invalid_row, count_points_many, euler_factor)
+                     _first_invalid_row, euler_factors)
 from .errors import (CeilingExceeded, ChildFailed, ConflictError, IncompleteTable,
                      SchemaError, ValidationError)
 
@@ -158,8 +158,14 @@ def compute_ranges(p_maxes: dict[CurveSpec, int], *, with_lpoly: bool = False,
     twice = next((path for path in paths if paths.count(path) > 1), None)
     if twice is not None:
         raise ConflictError(f"two curves under one label would write {twice}")
-    _check_lanes(todo, with_lpoly, ceiling, fp2_ceiling)
-    factors = _count_lanes(todo, with_lpoly, ceiling, fp2_ceiling, workers)
+    lanes = [curve for curve, block, *_ in todo for _ in range(len(block))]
+    primes = np.concatenate([np.zeros(0, np.int64), *(block for _, block, *_ in todo)])
+    good = np.array([not c.is_bad(p) for c, p in zip(lanes, primes.tolist())], dtype=bool)
+    curves.check_lanes([lanes[i] for i in np.flatnonzero(good).tolist()], primes[good],
+                       fp2_ceiling=fp2_ceiling if with_lpoly else None)
+    k = workers if any(len(block) >= _PARALLEL_THRESHOLD for _, block, *_ in todo) else 1
+    options = dict(lpoly=with_lpoly, ceiling=ceiling, fp2_ceiling=fp2_ceiling)
+    factors = _count_lanes(k, lanes, primes, good, options)
     ends = np.cumsum([len(primes) for _, primes, _, _ in todo])[:-1]
     for block, rows in zip(todo, np.split(factors, ends)):
         curve, primes, path, _ = block
@@ -186,29 +192,12 @@ def _join(curve: CurveSpec, blocks: list[TraceTable]) -> TraceTable:
     return TraceTable(curve.label, curve.conductor, curve.genus, lpoly=lpoly, **columns)
 
 
-def _check_lanes(todo, with_lpoly, ceiling, fp2_ceiling) -> None:
-    """Raise, before any lane is counted and through its guard, the ceiling
-    error of `todo` counted in one chunk, so any worker count names one prime."""
-    past = [(curve, p) for curve, primes, *_ in todo if with_lpoly and curve.genus == 2
-            for p in primes[primes * primes > fp2_ceiling].tolist() if not curve.is_bad(p)]
-    if past:                            # the F_{p^2} ceiling, at the first such lane
-        curves.count_points_Fp2(*past[0], ceiling=fp2_ceiling)
-    over = [(curve, p) for curve, primes, *_ in todo if curve.genus == 1
-            for p in primes[primes >= curves.SEARCH_PMAX].tolist() if not curve.is_bad(p)]
-    if over:                            # the search bound, at the largest such prime
-        count_points_many(*zip(*over), ceiling=ceiling)
-
-
-def _count_lanes(todo, with_lpoly, ceiling, fp2_ceiling, workers) -> np.ndarray:
-    """`_count_chunk` of the lanes of every (curve, primes, ...) block of
-    `todo`, in order.  In parallel, this process and `workers` - 1 forked
-    children each count one interleaved chunk of all the lanes: chunks cost
-    alike, where contiguous ones grow with p, and each pays the fixed cost once."""
-    lanes = [curve for curve, block, *_ in todo for _ in range(len(block))]
-    primes = np.concatenate([np.zeros(0, np.int64), *(block for _, block, *_ in todo)])
-    k = workers if any(len(block) >= _PARALLEL_THRESHOLD for _, block, *_ in todo) else 1
-    args = [(lanes[i::k], primes[i::k], with_lpoly, ceiling, fp2_ceiling)
-            for i in range(k)]
+def _count_lanes(k, lanes, primes, good, options) -> np.ndarray:
+    """`_count_chunk` of every lane, curve lanes[i] at primes[i], in order.
+    With k > 1, this process and k - 1 forked children each count one
+    interleaved chunk of the lanes: chunks cost alike, where contiguous ones
+    grow with p, and each pays the fixed cost once."""
+    args = [(lanes[i::k], primes[i::k], good[i::k], options) for i in range(k)]
     factors = np.zeros((len(primes), 5), dtype=np.int64)
     reaps = []
     try:
@@ -254,23 +243,13 @@ def _fork(chunk):
 
 
 def _count_chunk(args) -> np.ndarray:
-    """Euler factors of one chunk of lanes, curve lanes[i] at primes[i]:
-    the whole factor for genus 2 with `with_lpoly`, else (1, -a_p); zero
-    rows at bad lanes."""
-    lanes, primes, with_lpoly, ceiling, fp2_ceiling = args
-    good = np.array([not c.is_bad(p) for c, p in zip(lanes, primes.tolist())],
-                    dtype=bool)
+    """Euler-factor rows of one chunk of lanes, curve lanes[i] at primes[i]:
+    `euler_factors` at the good lanes, zero rows at the bad ones."""
+    lanes, primes, good, options = args
     factors = np.zeros((len(primes), 5), dtype=np.int64)
-    rich = good & np.array([with_lpoly and c.genus == 2 for c in lanes], dtype=bool)
-    for row in np.flatnonzero(rich):
-        factors[row] = euler_factor(lanes[row], int(primes[row]), ceiling=ceiling,
-                                    fp2_ceiling=fp2_ceiling)
-    plain = np.flatnonzero(good & ~rich)
-    if plain.size:
-        factors[plain, 0] = 1
-        factors[plain, 1] = count_points_many([lanes[i] for i in plain.tolist()],
-                                              primes[plain], ceiling=ceiling) \
-            - primes[plain] - 1
+    rows = np.flatnonzero(good).tolist()
+    if rows:
+        factors[rows] = euler_factors([lanes[i] for i in rows], primes[rows], **options)
     return factors
 
 

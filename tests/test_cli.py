@@ -674,10 +674,10 @@ class TestWindowedSearch:
         """Primes handed to the counter, the widths each curve's table is
         built for, each counting call's {label: width}, and the cache files
         read."""
-        from frobsep import store
+        from frobsep import curves, store
 
         seen = {"primes": [], "widths": {}, "calls": [], "imports": []}
-        count, compute, read = (store.count_points_many, store.compute_ranges,
+        count, compute, read = (curves.count_points_many, store.compute_ranges,
                                 store.import_csv)
 
         def counting(curve, primes, **kw):
@@ -694,7 +694,7 @@ class TestWindowedSearch:
             seen["imports"].append(path)
             return read(path, *args)
 
-        monkeypatch.setattr(store, "count_points_many", counting)
+        monkeypatch.setattr(curves, "count_points_many", counting)
         monkeypatch.setattr(store, "compute_ranges", computing)
         monkeypatch.setattr(store, "import_csv", reading)
         return seen

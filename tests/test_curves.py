@@ -241,7 +241,8 @@ class TestFrobeniusTrace:
         assert 5 + 1 - count_points(curve, 5) == 5 + 1 - n_enum == -2
 
     def test_weil_violation_raises(self, c11, g2b, monkeypatch):
-        monkeypatch.setattr(curves, "count_points", lambda curve, p, **kw: p + 101)
+        monkeypatch.setattr(curves, "count_points_many",
+                            lambda curve, primes, **kw: np.asarray(primes) + 101)
         for curve in (c11, g2b):                  # a_3 = -100
             with pytest.raises(ValidationError, match="Weil bound"):
                 euler_factor(curve, 3)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from frobsep import CurveSpec, compute_range, curves, export_csv, import_csv
+from frobsep import (CurveSpec, compute_range, curves, euler_factor, export_csv,
+                     import_csv)
 from frobsep import store
 from frobsep.errors import (CeilingExceeded, ChildFailed, ConflictError,
                             IncompleteTable, SchemaError, ValidationError)
@@ -177,6 +178,18 @@ class TestWorkerPool:
                                match=r"^p=997 above the genus-1 search bound 500$"):
                 compute_range(c11, 1000, workers=workers)
 
+    def test_fp2_ceiling_error_before_search_bound(self, c11, g2b, monkeypatch):
+        """11a1 is past the search bound and g2b's Euler factors past the
+        F_{p^2} ceiling in one call; the F_{p^2} error comes first, as the
+        README states, whichever lane comes first or counts it."""
+        monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 8)
+        monkeypatch.setattr(curves, "SEARCH_PMAX", 500)
+        for workers in (1, 2):
+            with pytest.raises(CeilingExceeded,
+                               match=r"^p\^2=10201 above enumeration ceiling 10000$"):
+                store.compute_ranges({c11: 1000, g2b: 200}, with_lpoly=True,
+                                     workers=workers)
+
     def test_child_without_result(self, c11, monkeypatch):
         count = store._count_chunk
         monkeypatch.setattr(store, "_count_chunk", self.in_child(os._exit, 1))
@@ -342,24 +355,42 @@ class TestComputeRanges:
         assert batch == self.one_by_one(p_maxes)
         assert batch[c11].p[0] == 2 and batch[c11].good[0]
 
-    def test_euler_factors_for_genus_2_only(self, c11, g2b):
+    def test_euler_factors_for_genus_2_only(self, c11, g2b, monkeypatch):
+        """One chunk counts every F_p point, Euler-factor lanes included, in
+        one `count_points_many` call."""
         p_maxes = {c11: 500, g2b: 97}
+        calls, count = [], curves.count_points_many
+
+        def counting(lanes, primes, **kw):
+            calls.append(len(primes))
+            return count(lanes, primes, **kw)
+
+        monkeypatch.setattr(curves, "count_points_many", counting)
         batch = store.compute_ranges(p_maxes, with_lpoly=True)
+        assert calls == [94 + 23]        # good primes of 11a1 <= 500 and g2b <= 97
         assert batch == self.one_by_one(p_maxes, with_lpoly=True)
         assert batch[c11].lpoly is None and batch[g2b].lpoly is not None
 
     @settings(max_examples=25, deadline=None)
-    @given(st.data(), st.integers(1, 4), st.booleans())
-    def test_random_batches(self, data, n, forked):
+    @given(st.data(), st.integers(1, 4), st.booleans(), st.booleans())
+    def test_random_batches(self, data, n, forked, with_lpoly):
+        """With Euler factors, p_max <= 97 keeps p^2 under the F_{p^2}
+        ceiling, and the batch mixes genus-2 factor lanes with genus-1 trace
+        lanes."""
         p_maxes = {}
         for i in range(n):
             curve = random_curve(data.draw, f"c{i}")
             if curve is not None:
-                p_maxes[curve] = data.draw(st.integers(2, 3000))
+                p_maxes[curve] = data.draw(st.integers(2, 97 if with_lpoly else 3000))
         assume(p_maxes)
-        with patch.object(store, "_PARALLEL_THRESHOLD", 100 if forked else 10 ** 9):
-            batch = store.compute_ranges(p_maxes, workers=2)
-        assert batch == self.one_by_one(p_maxes)
+        with patch.object(store, "_PARALLEL_THRESHOLD", 10 if forked else 10 ** 9):
+            batch = store.compute_ranges(p_maxes, with_lpoly=with_lpoly, workers=2)
+        assert batch == self.one_by_one(p_maxes, with_lpoly=with_lpoly)
+        for curve, table in batch.items():
+            if table.lpoly is not None:
+                for p, row in zip(table.p[table.good].tolist(),
+                                  table.lpoly[table.good].tolist()):
+                    assert tuple(row) == euler_factor(curve, p), (curve, p)
 
     def test_two_models_under_one_label(self, tmp_path, monkeypatch):
         """Below a full bucket they are counted apart; a full bucket they
@@ -375,7 +406,7 @@ class TestComputeRanges:
         def no_count(*args, **kwargs):
             raise AssertionError("counted before the conflict was found")
 
-        monkeypatch.setattr(store, "count_points_many", no_count)
+        monkeypatch.setattr(curves, "count_points_many", no_count)
         with pytest.raises(ConflictError, match="two curves under one label"):
             store.compute_ranges(p_maxes, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
@@ -461,7 +492,7 @@ class TestCache:
         def no_count(*args, **kwargs):
             raise AssertionError("cached bucket was counted again")
 
-        monkeypatch.setattr(store, "count_points_many", no_count)
+        monkeypatch.setattr(curves, "count_points_many", no_count)
         assert compute_range(c11, 199, cache_dir=tmp_path) == truth
 
     def test_bucket_missing_a_prime_is_recounted(self, c11, tmp_path,
