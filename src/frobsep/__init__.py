@@ -11,9 +11,8 @@ _MODULE_OF = {name: module for module, names in {
     "separation": "SeparationRecord least_separating_prime psi_value "
                   "separation_scan windowed_search",
     "store": "TraceTable compute_range compute_ranges export_csv import_csv",
-    "symplectic": "AnalyticMetadata DominantWeight TorusPoint VirtualCharacter adams2 "
-                  "char_value dimension fs_indicator inner_product psi_character "
-                  "trivial_multiplicity",
+    "symplectic": "DominantWeight TorusPoint VirtualCharacter adams2 char_value "
+                  "dimension fs_indicator inner_product psi_character trivial_multiplicity",
 }.items() for name in names.split()}
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 # numpy's OpenBLAS starts a thread per core at import; counting runs in forked
@@ -52,21 +53,34 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def integer(text: str) -> int:
+    """argparse type: an int, or an integral decimal read exactly (1e23 is 10**23)."""
+    try:
+        return int(text)
+    except ValueError:     # at most 4 exponent digits keep 10**exponent small
+        if re.fullmatch(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d{1,4})?\s*", text):
+            from fractions import Fraction
+            value = Fraction(text)
+            if value.denominator == 1:
+                return int(value)
+        raise
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="frobsep", description=__doc__)
     parser.add_argument("--cache-dir", default=None,
                         help="trace-table cache directory (falls back to "
                              f"${store.CACHE_ENV_VAR})")
     parser.add_argument("--kernel-a", type=float, default=0.25)
-    parser.add_argument("--count-ceiling", type=int, default=DEFAULT_FP_CEILING)
-    parser.add_argument("--fp2-ceiling", type=int, default=DEFAULT_FP2_CEILING)
+    parser.add_argument("--count-ceiling", type=integer, default=DEFAULT_FP_CEILING)
+    parser.add_argument("--fp2-ceiling", type=integer, default=DEFAULT_FP2_CEILING)
     parser.add_argument("--parallelism", type=int, default=0, metavar="N",
                         help="N processes count: this one and N-1 children; 0 = per CPU")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="build or extend a trace table")
     p_count.add_argument("curve", help="curve JSON file")
-    p_count.add_argument("--pmax", type=int, required=True)
+    p_count.add_argument("--pmax", type=integer, required=True)
     p_count.add_argument("--lpoly", action="store_true",
                          help="store genus-2 Euler factors")
 
@@ -87,11 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep = sub.add_parser("separate", help="least sign-separating prime of a pair")
     p_sep.add_argument("curve_a")
     p_sep.add_argument("curve_b")
-    p_sep.add_argument("--pmax", type=int, required=True)
+    p_sep.add_argument("--pmax", type=integer, required=True)
 
     p_scan = sub.add_parser("scan", help="separation scan over a corpus")
     p_scan.add_argument("corpus", help='JSON file {"pairs": [[fileA, fileB], ...]}')
-    p_scan.add_argument("--pmax", type=int, required=True)
+    p_scan.add_argument("--pmax", type=integer, required=True)
 
     p_kernel = sub.add_parser("kernel-check",
                               help="contour vs closed-form kernel table")

@@ -73,7 +73,7 @@ class IncompleteTable(FrobsepError):
 
 
 class MissingEigendata(FrobsepError):
-    """Prime-power terms need eigenvalue angles but only traces are stored."""
+    """A term needs a prime's whole Euler factor, but only its trace is stored."""
 
 
 # --- representation theory

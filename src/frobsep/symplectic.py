@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Final, Iterable, Mapping
 
@@ -211,25 +211,11 @@ def _canonical_terms(terms: Mapping, nfactors: int) -> dict[TermKey, int]:
 
 
 @dataclass(frozen=True)
-class AnalyticMetadata:
-    """Size data used by the explicit-formula error terms."""
-
-    d_chi: int
-    delta: int
-    w_chi: int
-    t_chi: float
-    gamma_chi_bound: int
-    n_chi_bound: int
-    b_bound: tuple[int | None, int]   # (conductor if declared, exponent)
-
-
-@dataclass(frozen=True)
 class VirtualCharacter:
     """Integer combination of irreducible characters of one or two factors."""
 
     gs: tuple[int, ...]
     terms: Mapping[TermKey, int]
-    metadata: AnalyticMetadata | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.gs) not in (1, 2):
@@ -258,17 +244,6 @@ class VirtualCharacter:
         if [len(angles) for angles in angle_sets] != list(self.gs):
             raise ValueError("torus point rank mismatch")
         return float(self.values(*map(_e_at_angles, angle_sets))[0])
-
-    @property
-    def total_dimension(self) -> int:
-        """d_chi: dimensions of positive and negative parts added."""
-        total = 0
-        for key, coeff in self.terms.items():
-            d = 1
-            for g, parts in zip(self.gs, key):
-                d *= laurent.dimension_exact(parts, g)
-            total += abs(coeff) * d
-        return total
 
     @property
     def trivial_coefficient(self) -> int:
@@ -442,38 +417,8 @@ def psi_character(g: int, g2: int) -> VirtualCharacter:
     """
     f1 = _psi_factor_terms(g, -1)
     f2 = _psi_factor_terms(g2, +1)
-    chi = box_product(VirtualCharacter((g,), {(p,): c for p, c in f1.items()}),
-                      VirtualCharacter((g2,), {(p,): c for p, c in f2.items()}))
-    d_chi = chi.total_dimension
-    # factor ranges [-g^2, 8g^2] and [-g'^2, 8g'^2]; the product peaks at
-    # the corner t = -2g, t' = 2g'
-    t_chi = float(64 * g * g * g2 * g2)
-    meta = AnalyticMetadata(
-        d_chi=d_chi,
-        delta=chi.trivial_coefficient,
-        w_chi=2,
-        t_chi=t_chi,
-        gamma_chi_bound=d_chi,
-        n_chi_bound=max(math.ceil(t_chi), d_chi),
-        b_bound=(None, d_chi),
-    )
-    object.__setattr__(chi, "metadata", meta)
-    return chi
-
-
-def weight_metadata(weight: DominantWeight,
-                    conductor: int | None = None) -> AnalyticMetadata:
-    """Metadata of an honest irreducible: t = gamma = n = d."""
-    d = dimension(weight)
-    return AnalyticMetadata(
-        d_chi=d,
-        delta=1 if weight.degree == 0 else 0,
-        w_chi=weight.degree,
-        t_chi=float(d),
-        gamma_chi_bound=d,
-        n_chi_bound=d,
-        b_bound=(conductor, d),
-    )
+    return box_product(VirtualCharacter((g,), {(p,): c for p, c in f1.items()}),
+                       VirtualCharacter((g2,), {(p,): c for p, c in f2.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +430,7 @@ def adams2(chi: VirtualCharacter) -> VirtualCharacter:
 
     Equal to Sym^2(chi) - Alt^2(chi); realized through the exact Laurent
     substitution z -> z^2, so every factor rank is at most
-    laurent.MAX_EXACT_RANK.  Metadata follows the doubling transform for
-    irreducible inputs with known metadata.
+    laurent.MAX_EXACT_RANK.
     """
     factor_maps: list[dict[Partition, dict[Partition, int]]] = []
     for pos, g in enumerate(chi.gs):
@@ -507,29 +451,7 @@ def adams2(chi: VirtualCharacter) -> VirtualCharacter:
             ]
         for full_key, c in expanded:
             terms[full_key] = terms.get(full_key, 0) + c
-    out = VirtualCharacter(chi.gs, terms)
-    if chi.metadata is not None and _is_irreducible(chi):
-        object.__setattr__(out, "metadata", adams2_metadata(chi.metadata, out))
-    return out
-
-
-def _is_irreducible(chi: VirtualCharacter) -> bool:
-    return len(chi.terms) == 1 and next(iter(chi.terms.values())) == 1
-
-
-def adams2_metadata(meta: AnalyticMetadata,
-                    doubled: VirtualCharacter) -> AnalyticMetadata:
-    """Doubling transform: t = d, w doubles, gamma bound 2d, conductor ~ 2B^2."""
-    n, _ = meta.b_bound
-    return AnalyticMetadata(
-        d_chi=doubled.total_dimension,
-        delta=doubled.trivial_coefficient,
-        w_chi=2 * meta.w_chi,
-        t_chi=float(meta.d_chi),
-        gamma_chi_bound=2 * meta.d_chi,
-        n_chi_bound=2 * meta.d_chi,
-        b_bound=(n, 2 * meta.d_chi),
-    )
+    return VirtualCharacter(chi.gs, terms)
 
 
 def fs_indicator(weight: DominantWeight) -> int:

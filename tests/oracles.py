@@ -4,15 +4,12 @@ Everything here recomputes from definitions: exhaustive enumeration over
 all affine pairs, explicit Legendre symbols, the F_p sweep reduced at
 every step, point orders by repeated addition, the scalar affine
 baby-step giant-step search, schoolbook quadratic extensions, polished
-numeric polynomial roots, sympy discriminants, and a numerical search for
-the maximum of a character over the group.  None of it shares code with
-the production counting paths, the resolvent eigenangles or the
-closed-form t_chi.
+numeric polynomial roots and sympy discriminants.  None of it shares code
+with the production counting paths or the resolvent eigenangles.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -416,56 +413,3 @@ def sextic_discriminant(coeffs) -> int:
     if cs[5] == 0:
         return 0
     return cs[5] ** 2 * int(sympy.discriminant(sympy.Poly(cs[5::-1], x)))
-
-
-T_SEARCH_GRID = 512
-
-
-def _virtual_values(terms, thetas: np.ndarray) -> np.ndarray:
-    """Sum of coeff * sp_lambda at angle rows thetas, terms keyed by lambda."""
-    from frobsep.symplectic import _char_from_e, _e_at_angles
-
-    e = _e_at_angles(thetas)
-    out = np.zeros(len(e))
-    for parts, coeff in terms.items():
-        out = out + coeff * _char_from_e(parts, e)
-    return out
-
-
-def _max_on_group(values_fn, g: int, grid: int = T_SEARCH_GRID) -> float:
-    """Grid search on [0, pi]^g refined by bounded local ascent."""
-    from scipy import optimize
-
-    axis = np.linspace(0.0, math.pi, grid)
-    thetas = np.array(list(itertools.product(axis, repeat=g)))
-    vals = values_fn(thetas)
-    best = int(np.argmax(vals))
-    res = optimize.minimize(
-        lambda th: -float(values_fn(np.array([th]))[0]),
-        thetas[best], method="L-BFGS-B", bounds=[(0.0, math.pi)] * g)
-    return max(float(vals[best]), float(-res.fun))
-
-
-def _factor_range(terms, g: int) -> tuple[float, float]:
-    return (-_max_on_group(lambda th: -_virtual_values(terms, th), g),
-            _max_on_group(lambda th: _virtual_values(terms, th), g))
-
-
-def character_max(chi, factors=None, grid: int = T_SEARCH_GRID) -> float:
-    """t_chi by search: the maximum of the character over the group.
-
-    A product-group character must be the box product of `factors`, two
-    {partition: coeff} maps; its maximum is the largest product of the two
-    factors' range endpoints.
-    """
-    if chi.is_product_group:
-        product = {(p1, p2): c1 * c2 for p1, c1 in factors[0].items()
-                   for p2, c2 in factors[1].items()}
-        if type(chi)(chi.gs, product) != chi:
-            raise ValueError("product-group search needs chi's box factors")
-        lo1, hi1 = _factor_range(factors[0], chi.gs[0])
-        lo2, hi2 = _factor_range(factors[1], chi.gs[1])
-        return max(a * b for a in (lo1, hi1) for b in (lo2, hi2))
-    terms = {parts: c for (parts,), c in chi.terms.items()}
-    return _max_on_group(lambda th: _virtual_values(terms, th),
-                         chi.gs[0], grid)

@@ -69,6 +69,19 @@ class TestCount:
         assert "curve 11a1 genus 1 conductor 11" in text
         assert "15 (14 good, 1 bad)" in text
 
+    def test_integral_scientific_notation(self, tmp_path, g2b):
+        """1e4 is read as the integer 10000: a genus-2 sum, whose Euler
+        factors stop at the F_{p^2} ceiling, prints the same bytes."""
+        curve = tmp_path / "g2b.json"
+        curve.write_text(json.dumps(g2b.to_json()), encoding="utf-8")
+        chi = tmp_path / "sym2.json"
+        chi.write_text('{"g": 2, "terms": [{"lambda": [2], "coeff": 1}]}',
+                       encoding="utf-8")
+        runs = [run_cli(["--cache-dir", str(tmp_path / ceiling), "--fp2-ceiling", ceiling,
+                         "sum", str(curve), "--x", "97", "--chi", str(chi)])
+                for ceiling in ("1e4", "10000")]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
     def test_bad_prime_sets_differ(self, tmp_path):
         # a non-minimal model of 11a1: its discriminant is divisible by 2
         path = tmp_path / "nonminimal.json"
@@ -402,6 +415,15 @@ class TestMalformedInput:
         (["count", "curve.json", "--pmax", "-5"], 1, "p_max must be >= 0, got -5"),
         (["separate", "curve.json", "curve.json", "--pmax", "-1"], 1,
          "p_max must be >= 0, got -1"),
+        (["count", "curve.json", "--pmax=-1e1"], 1, "p_max must be >= 0, got -10"),
+        (["count", "curve.json", "--pmax", "2.5"], 1,
+         "argument --pmax: invalid integer value: '2.5'"),
+        (["separate", "curve.json", "curve.json", "--pmax", "abc"], 1,
+         "argument --pmax: invalid integer value: 'abc'"),
+        (["--fp2-ceiling", "1e-3", "count", "curve.json", "--pmax", "10"], 1,
+         "argument --fp2-ceiling: invalid integer value: '1e-3'"),
+        (["--count-ceiling", "inf", "scan", "corpus_no_pairs.json", "--pmax", "10"], 1,
+         "argument --count-ceiling: invalid integer value: 'inf'"),
         (["sum", "curve.json", "curve.json", "--x", "1e400"], 1,
          "every x must be finite and >= 2"),
         (["sum", "curve.json", "curve.json", "--x", "1e3,abc"], 1,
@@ -433,6 +455,9 @@ class TestMalformedInput:
             "corpus-missing-pairs", "sum-product-character-one-curve",
             "delta-g-mismatch", "delta-g2-mismatch", "delta-no-g", "delta-no-g2",
             "count-negative-pmax", "separate-negative-pmax",
+            "count-negative-scientific-pmax", "count-fractional-pmax",
+            "separate-pmax-not-number", "fp2-ceiling-fractional",
+            "count-ceiling-infinite",
             "sum-infinite-x", "sum-bad-x-list", "sum-psi-one-curve",
             "kernel-check-empty-y", "kernel-check-nan-y", "kernel-check-infinite-y",
             "kernel-check-nan-T", "kernel-check-infinite-T", "kernel-check-huge-T",

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import oracles
 from frobsep import laurent
 from frobsep import symplectic as sy
 from frobsep.errors import NonIntegral, UnsupportedModel, ValidationError
@@ -185,7 +184,6 @@ class TestPsiCharacter:
         assert sy.trivial_multiplicity(psi) == 1
         assert sy.trivial_multiplicity_exact(psi) == 1
         assert sy.psi_delta_exact(g, g2) == 1
-        assert psi.metadata.delta == 1
 
     def test_vanishes_at_identity(self):
         psi = sy.psi_character(1, 1)
@@ -198,25 +196,19 @@ class TestPsiCharacter:
         pt = sy.TorusPoint((math.acos(0.5),), (math.acos(-0.5),))
         assert psi.value(pt) == pytest.approx(1.0, abs=1e-9)
 
-    def test_metadata(self):
-        for g, g2 in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-            psi = sy.psi_character(g, g2)
-            d = 64 * g * g * g2 * g2
-            assert psi.metadata == sy.AnalyticMetadata(
-                d_chi=d, delta=1, w_chi=2, t_chi=float(d), gamma_chi_bound=d,
-                n_chi_bound=d, b_bound=(None, d))
-            # closed form against the grid-and-ascent search
-            factors = (sy._psi_factor_terms(g, -1), sy._psi_factor_terms(g2, +1))
-            assert psi.metadata.t_chi == pytest.approx(
-                oracles.character_max(psi, factors), abs=1e-6)
-
-    def test_evaluation_matches_trace_formula(self):
-        psi = sy.psi_character(1, 2)
-        pt = sy.TorusPoint((0.8,), (0.4, 2.2))
-        t = 2 * math.cos(0.8)
-        t2 = 2 * math.cos(0.4) + 2 * math.cos(2.2)
-        want = t * t2 * (t - 2) * (t2 + 4)
-        assert psi.value(pt) == pytest.approx(want, abs=1e-9)
+    @pytest.mark.parametrize("g,g2", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_evaluation_matches_trace_formula(self, g, g2):
+        # psi = t*t'*(t - 2g)*(t' + 2g') at factor traces t = sum 2 cos(theta)
+        psi = sy.psi_character(g, g2)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            angles = rng.uniform(0.0, math.pi, size=g)
+            angles2 = rng.uniform(0.0, math.pi, size=g2)
+            t = 2 * np.cos(angles).sum()
+            t2 = 2 * np.cos(angles2).sum()
+            want = t * t2 * (t - 2 * g) * (t2 + 2 * g2)
+            pt = sy.TorusPoint(tuple(angles), tuple(angles2))
+            assert psi.value(pt) == pytest.approx(want, abs=1e-9)
 
 
 class TestAdams:
@@ -260,26 +252,6 @@ class TestAdams:
     def test_rank_above_exact_limit_unsupported(self):
         with pytest.raises(UnsupportedModel, match="adams2 supports rank <= 4"):
             sy.adams2(sy.tautological_char(5))
-
-    def test_metadata_transform(self):
-        v = sy.tautological_char(2)
-        meta = sy.weight_metadata(sy.DominantWeight(2, (1,)))
-        object.__setattr__(v, "metadata", meta)
-        doubled = sy.adams2(v)
-        assert doubled.metadata.w_chi == 2 * meta.w_chi
-        assert doubled.metadata.t_chi == meta.d_chi
-        assert doubled.metadata.gamma_chi_bound == 2 * meta.d_chi
-        assert doubled.metadata.delta == -1
-        assert doubled.metadata.b_bound == (None, 2 * meta.d_chi)
-
-
-class TestCharacterMax:
-    def test_irreducible_max_is_dimension(self):
-        for g in (1, 2):
-            for parts in [(1,), (2,)] + ([(1, 1)] if g == 2 else []):
-                chi = sy.VirtualCharacter((g,), {(parts,): 1})
-                d = sy.dimension(sy.DominantWeight(g, parts))
-                assert oracles.character_max(chi) == pytest.approx(d, abs=1e-6)
 
 
 class TestVirtualCharacterType:
