@@ -124,13 +124,12 @@ class CurveSpec:
         disc = _binary_form_discriminant(big[:2 * self.genus + 3])
         return disc if self.genus == 2 else disc // 256
 
-    def good_reduction(self, p: int) -> bool:
-        """Smoothness of the reduced model: p does not divide the discriminant."""
-        return self.discriminant % p != 0
-
-    def is_bad(self, p: int) -> bool:
-        """Bad iff p divides the declared conductor or the model discriminant."""
-        return self.conductor % p == 0 or self.discriminant % p == 0
+    def bad_primes(self, primes) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the `primes` dividing the declared conductor and the model
+        discriminant: the one test of bad reduction, which is either.  Python
+        integers throughout, so exact for any p."""
+        p = np.asarray(primes, dtype=object)
+        return self.conductor % p == 0, self.discriminant % p == 0
 
 
 @lru_cache(maxsize=None)
@@ -193,10 +192,14 @@ def check_lanes(curves: list[CurveSpec], primes, *, ceiling: int | None = None,
     primes = np.asarray(primes)         # objects when beyond int64
     if ceiling is not None and primes.size and primes.max() > ceiling:
         raise CeilingExceeded(f"p={primes.max()} above counting ceiling {ceiling}")
-    for curve, p in zip(curves, primes.tolist()):
-        if curve.discriminant % p == 0:
-            raise BadReduction(f"{curve.label}: p={p} divides the model discriminant")
-    genus = np.array([c.genus for c in curves], dtype=np.int64)
+    ids = np.array([id(c) for c in curves], dtype=np.int64)
+    bad, genus = np.zeros(len(ids), dtype=bool), np.zeros(len(ids), dtype=np.int64)
+    for curve in {id(c): c for c in curves}.values():      # each distinct curve once
+        mine = ids == id(curve)
+        bad[mine], genus[mine] = curve.bad_primes(primes[mine])[1], curve.genus
+    if bad.any():
+        i = int(bad.argmax())
+        raise BadReduction(f"{curves[i].label}: p={primes[i]} divides the model discriminant")
     if fp2_ceiling is not None:         # p^2 > c exactly when p > isqrt(c)
         past = primes[(genus == 2) & (primes > math.isqrt(fp2_ceiling))]
         if past.size:
@@ -283,10 +286,10 @@ def _count_points_sweep(bigs: list[list[int]], p: int) -> list[int]:
             acc += c
         acc -= acc // p * p
         affine += nsol[acc].sum(axis=-1, dtype=np.int64)
-    # c6 = c5 = 0 is a double root at infinity: p | disc, not good; a cubic
-    # F (genus 1) has one point there
-    return [n + (int(nsol[big[6]]) if big[6] else 1)
-            for n, big in zip(np.ravel(affine).tolist(), bigs)]
+    # at infinity: one point when deg F mod p is odd, else one per square
+    # root of its leading coefficient
+    return [n + (1 if len(big) % 2 == 0 else int(nsol[big[-1]]))
+            for n, big in zip(np.ravel(affine).tolist(), map(_trim, bigs))]
 
 
 # Above this bound E or its quadratic twist has a point whose order has a
@@ -546,14 +549,14 @@ def count_points_Fp2(curve: CurveSpec, p: int, *,
     n = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)
     u = np.repeat(np.arange(p, dtype=np.int64), p)     # x = u + v t
     v = np.tile(np.arange(p, dtype=np.int64), p)
-    big = [c % p for c in _square_completed(curve.f, curve.h)]
+    big = _trim(c % p for c in _square_completed(curve.f, curve.h))
     a0 = a1 = np.zeros(p * p, dtype=np.int64)
     for c in big[::-1]:
         a0, a1 = (a0 * u + n * (a1 * v % p) + c) % p, (a0 * v + a1 * u) % p
     affine = int(_square_counts(p)[(a0 * a0 - n * (a1 * a1 % p)) % p].sum())
-    # good reduction leaves deg F >= 5 mod p; a nonzero leading
-    # coefficient lies in F_p, so it is a square in F_{p^2}
-    return affine + (2 if big[6] else 1)
+    # at infinity: one point when deg F mod p is odd, else two, since the
+    # leading coefficient lies in F_p and so is a square in F_{p^2}
+    return affine + (1 if len(big) % 2 == 0 else 2)
 
 
 # ---------------------------------------------------------------------------

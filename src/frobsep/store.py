@@ -6,9 +6,10 @@ so expensive counts happen once; cache files hold one full bucket of
 primes each and are written atomically (temp file + rename, single
 writer).  All stored values are integers; normalized traces are
 recomputed on demand to avoid precision drift.  Many curves are counted
-together as lanes (curve, prime): one guard pass, then one `curves.euler_factors`
-call per chunk of interleaved lanes; a parallel count forks its children for
-that call alone and reaps them before it returns.
+together as lanes (curve, prime): `CurveSpec.bad_primes` decides each block's
+bad primes once, and their rows stay zero; then one guard pass, then one
+`euler_factors` call per chunk of interleaved good lanes.  A parallel count
+forks its children for that call alone and reaps them before it returns.
 """
 
 from __future__ import annotations
@@ -160,12 +161,14 @@ def compute_ranges(p_maxes: dict[CurveSpec, int], *, with_lpoly: bool = False,
         raise ConflictError(f"two curves under one label would write {twice}")
     lanes = [curve for curve, block, *_ in todo for _ in range(len(block))]
     primes = np.concatenate([np.zeros(0, np.int64), *(block for _, block, *_ in todo)])
-    good = np.array([not c.is_bad(p) for c, p in zip(lanes, primes.tolist())], dtype=bool)
-    curves.check_lanes([lanes[i] for i in np.flatnonzero(good).tolist()], primes[good],
-                       fp2_ceiling=fp2_ceiling if with_lpoly else None)
+    good = np.concatenate([np.zeros(0, bool), *(
+        ~np.logical_or(*curve.bad_primes(block)) for curve, block, *_ in todo)])
+    lanes = [lanes[i] for i in np.flatnonzero(good).tolist()]
+    curves.check_lanes(lanes, primes[good], fp2_ceiling=fp2_ceiling if with_lpoly else None)
     k = workers if any(len(block) >= _PARALLEL_THRESHOLD for _, block, *_ in todo) else 1
     options = dict(lpoly=with_lpoly, ceiling=ceiling, fp2_ceiling=fp2_ceiling)
-    factors = _count_lanes(k, lanes, primes, good, options)
+    factors = np.zeros((len(primes), 5), dtype=np.int64)
+    factors[good] = _count_lanes(k, lanes, primes[good], options)
     ends = np.cumsum([len(primes) for _, primes, _, _ in todo])[:-1]
     for block, rows in zip(todo, np.split(factors, ends)):
         curve, primes, path, _ = block
@@ -192,18 +195,19 @@ def _join(curve: CurveSpec, blocks: list[TraceTable]) -> TraceTable:
     return TraceTable(curve.label, curve.conductor, curve.genus, lpoly=lpoly, **columns)
 
 
-def _count_lanes(k, lanes, primes, good, options) -> np.ndarray:
-    """`_count_chunk` of every lane, curve lanes[i] at primes[i], in order.
-    With k > 1, this process and k - 1 forked children each count one
+def _count_lanes(k, lanes, primes, options) -> np.ndarray:
+    """`euler_factors` of every lane, curve lanes[i] at primes[i], in order.
+    With k > 1, this process and up to k - 1 forked children each count one
     interleaved chunk of the lanes: chunks cost alike, where contiguous ones
-    grow with p, and each pays the fixed cost once."""
-    args = [(lanes[i::k], primes[i::k], good[i::k], options) for i in range(k)]
+    grow with p, and each pays the fixed cost once.  No lanes, no call."""
+    chunks = [(lanes[i::k], primes[i::k]) for i in range(min(k, len(lanes)))]
     factors = np.zeros((len(primes), 5), dtype=np.int64)
     reaps = []
     try:
-        for chunk in args[1:]:
-            reaps.append(_fork(chunk))
-        factors[0::k] = _count_chunk(args[0])
+        for chunk in chunks[1:]:
+            reaps.append(_fork(*chunk, options))
+        if chunks:
+            factors[0::k] = euler_factors(*chunks[0], **options)
     finally:
         parts = [reap() for reap in reaps]    # even when a fork or chunk 0 raised
     for i, part in enumerate(parts, start=1):
@@ -213,15 +217,15 @@ def _count_lanes(k, lanes, primes, good, options) -> np.ndarray:
     return factors
 
 
-def _fork(chunk):
-    """Fork a child that pickles `_count_chunk(chunk)`, or its error, to a
-    pipe.  Returns the function that reads the pipe to EOF, reaps the child
-    and returns its factors or the exception to raise."""
+def _fork(lanes, primes, options):
+    """Fork a child that pickles `euler_factors(lanes, primes, **options)`, or
+    its error, to a pipe.  Returns the function that reads the pipe to EOF,
+    reaps the child and returns its factors or the exception to raise."""
     read, write = os.pipe()
     if (pid := os.fork()) == 0:         # the child: its body ends in os._exit
         try:
             try:
-                result = _count_chunk(chunk)
+                result = euler_factors(lanes, primes, **options)
             except BaseException as exc:    # raised again, with its type, by the parent
                 import traceback
                 exc.__notes__ = [traceback.format_exc()]    # shows any earlier note
@@ -242,28 +246,14 @@ def _fork(chunk):
     return reap
 
 
-def _count_chunk(args) -> np.ndarray:
-    """Euler-factor rows of one chunk of lanes, curve lanes[i] at primes[i]:
-    `euler_factors` at the good lanes, zero rows at the bad ones."""
-    lanes, primes, good, options = args
-    factors = np.zeros((len(primes), 5), dtype=np.int64)
-    rows = np.flatnonzero(good).tolist()
-    if rows:
-        factors[rows] = euler_factors([lanes[i] for i in rows], primes[rows], **options)
-    return factors
-
-
 def bad_prime_sets(curve: CurveSpec, p_max: int) -> tuple[list[int], list[int]]:
     """Primes <= p_max dividing the conductor vs. dividing the discriminant.
 
     The table flags a prime bad when it lands in either set; callers report
     the discrepancy when the two disagree.
     """
-    disc = abs(curve.discriminant)
-    primes = sieve_primes(p_max).tolist()
-    by_n = [p for p in primes if curve.conductor % p == 0]
-    by_disc = [p for p in primes if disc % p == 0]
-    return by_n, by_disc
+    primes = sieve_primes(p_max)
+    return tuple(primes[mask].tolist() for mask in curve.bad_primes(primes))
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,6 @@ class DominantWeight:
             raise ValueError(f"partition {parts} has more than g={self.g} parts")
         object.__setattr__(self, "parts", parts)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.parts)
-
 
 @dataclass(frozen=True)
 class TorusPoint:

@@ -109,13 +109,13 @@ def test_criterion_05_trace_oracles():
     checked = 0
     for curve in (genus1, genus2):
         for p in oracles.primes_upto(1000):
-            if not curve.good_reduction(p) or (curve.genus == 2 and p == 2):
+            if curve.bad_primes([p])[1][0] or (curve.genus == 2 and p == 2):
                 continue
             assert count_points(curve, p) == oracles.enumerate_points(curve, p)
             checked += 1
     factors = 0
     for p in oracles.primes_upto(200):
-        if not genus2.good_reduction(p) or p == 2:
+        if genus2.bad_primes([p])[1][0] or p == 2:
             continue
         coeffs = euler_factor(genus2, p, fp2_ceiling=50_000)
         for i in range(3):

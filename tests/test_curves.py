@@ -12,6 +12,12 @@ from frobsep.errors import (BadReduction, CeilingExceeded, NonUnitaryRoots,
                             UnsupportedModel, ValidationError)
 
 
+def smooth_primes(curve, primes) -> list[int]:
+    """The primes of `primes` that do not divide the model discriminant."""
+    primes = np.asarray(primes, dtype=np.int64)
+    return primes[~curve.bad_primes(primes)[1]].tolist()
+
+
 class TestCountPoints:
     def test_x3_plus_x_at_3(self, c32):
         assert count_points(c32, 3) == 4
@@ -36,9 +42,7 @@ class TestCountPoints:
 
     def test_production_equals_both_oracles_below_100(self, c11, g2b):
         for curve in (c11, g2b):
-            for p in oracles.primes_upto(100):
-                if not curve.good_reduction(p):
-                    continue
+            for p in smooth_primes(curve, oracles.primes_upto(100)):
                 n = count_points(curve, p)
                 assert n == oracles.enumerate_points(curve, p)
                 if p > 2:
@@ -63,7 +67,7 @@ class TestGroupOrderRoute:
     @staticmethod
     def _searched(curve, primes):
         """Good primes among `primes` and the search's counts, one call."""
-        primes = primes[[curve.good_reduction(p) for p in primes.tolist()]]
+        primes = primes[~curve.bad_primes(primes)[1]]
         big = curves._square_completed(curve.f, curve.h)
         return primes, curves._count_points_bsgs([big] * len(primes), primes)
 
@@ -148,7 +152,7 @@ class TestGroupOrderRoute:
             curve = CurveSpec.elliptic("rand", a_invariants, 1)
         except ValidationError:
             assume(False)
-        assume(curve.good_reduction(p))
+        assume(not curve.bad_primes([p])[1][0])
         assert count_points(curve, p) == oracles.legendre_count(curve, p)
 
     @settings(max_examples=25, deadline=None)
@@ -162,7 +166,7 @@ class TestGroupOrderRoute:
             curve = CurveSpec.elliptic("rand", a_invariants, 1)
         except ValidationError:
             assume(False)
-        primes = np.array([p for p in primes if curve.good_reduction(p)], dtype=np.int64)
+        primes = np.array(smooth_primes(curve, primes), dtype=np.int64)
         assume(primes.size)
         counts = curves.count_points_many(curve, primes)
         assert counts.tolist() == [oracles.legendre_count(curve, p) for p in primes.tolist()]
@@ -228,10 +232,9 @@ class TestFrobeniusTrace:
 
     def test_weil_bound_holds(self, c11, g2b):
         for curve in (c11, g2b):
-            for p in oracles.primes_upto(200):
-                if curve.good_reduction(p):
-                    a_p = p + 1 - count_points(curve, p)
-                    assert a_p ** 2 <= 4 * curve.genus ** 2 * p
+            for p in smooth_primes(curve, oracles.primes_upto(200)):
+                a_p = p + 1 - count_points(curve, p)
+                assert a_p ** 2 <= 4 * curve.genus ** 2 * p
 
     def test_dual_oracles_agree_at_5(self):
         curve = CurveSpec.elliptic("32b", (0, 0, 0, -1, 0), 32)  # y^2 = x^3 - x
@@ -259,16 +262,24 @@ class TestFp2:
         pairs = 0
         for label, f, h, _ in TestCurveSpec.FROZEN_GENUS2:
             curve = CurveSpec.hyperelliptic(label, f, h, 1)
-            for p in oracles.primes_upto(13)[1:]:
-                if curve.good_reduction(p):
-                    assert count_points_Fp2(curve, p) == \
-                        oracles.enumerate_points_fp2(curve, p), (label, p)
-                    pairs += 1
+            for p in smooth_primes(curve, oracles.primes_upto(13)[1:]):
+                assert count_points_Fp2(curve, p) == \
+                    oracles.enumerate_points_fp2(curve, p), (label, p)
+                pairs += 1
         assert pairs == 26
 
     def test_ceiling(self, g2a):
         with pytest.raises(CeilingExceeded):
             count_points_Fp2(g2a, 7, ceiling=10)
+
+    @pytest.mark.parametrize("p, error, message", [
+        (13, BadReduction, r"^g2b: p=13 divides the model discriminant$"),
+        (2 ** 89 - 1, CeilingExceeded,                    # beyond int64
+         rf"^p\^2={(2 ** 89 - 1) ** 2} above enumeration ceiling 10000$"),
+    ])
+    def test_guards(self, g2b, p, error, message):
+        with pytest.raises(error, match=message):
+            count_points_Fp2(g2b, p)
 
 
 class TestEulerFactor:
@@ -277,9 +288,7 @@ class TestEulerFactor:
 
     def test_genus2_functional_equation(self, g2a, g2b):
         for curve in (g2a, g2b):
-            for p in oracles.primes_upto(50):
-                if not curve.good_reduction(p) or p == 2:
-                    continue
+            for p in smooth_primes(curve, oracles.primes_upto(50)[1:]):
                 c = euler_factor(curve, p)
                 assert c[0] == 1
                 for i in range(3):
@@ -292,9 +301,7 @@ class TestEulerFactor:
 
     def test_power_sum_identity(self, g2a, g2b):
         for curve in (g2a, g2b):
-            for p in oracles.primes_upto(50):
-                if not curve.good_reduction(p) or p == 2:
-                    continue
+            for p in smooth_primes(curve, oracles.primes_upto(50)[1:]):
                 coeffs = euler_factor(curve, p)
                 alphas = 1.0 / np.roots(coeffs[::-1])
                 a1 = -coeffs[1]
@@ -312,9 +319,7 @@ class TestEigenangles:
         assert unitarized_eigenangles((1, -2, 1), 1) == pytest.approx((0.0, ))
 
     def test_trace_recovered(self, g2a):
-        for p in (3, 7, 11, 13):
-            if not g2a.good_reduction(p):
-                continue
+        for p in smooth_primes(g2a, (3, 7, 11, 13)):
             coeffs = euler_factor(g2a, p)
             thetas = unitarized_eigenangles(coeffs, p)
             want = -coeffs[1] / math.sqrt(p)
@@ -457,8 +462,8 @@ class TestCurveSpec:
 
     def test_bad_prime_flagging(self, g2b):
         # disc -2^12 * 13^2, conductor 52 = 2^2 * 13
-        assert g2b.is_bad(2) and g2b.is_bad(13)
-        assert not g2b.is_bad(3)
+        by_n, by_disc = g2b.bad_primes([2, 3, 13])
+        assert by_n.tolist() == by_disc.tolist() == [True, False, True]
 
     def test_genus2_always_bad_at_2(self, g2a, g2b):
         for curve in (g2a, g2b):

@@ -100,9 +100,9 @@ class TestWorkerPool:
         starts no process."""
         started = []
 
-        def recording(chunk):
-            started.append(len(chunk[0]))
-            part = store._count_chunk(chunk)
+        def recording(lanes, primes, options):
+            started.append(len(lanes))
+            part = store.euler_factors(lanes, primes, **options)
             return lambda: part
 
         monkeypatch.setattr(store, "_fork", recording)
@@ -111,8 +111,9 @@ class TestWorkerPool:
     @staticmethod
     def in_child(fn, *args):
         """`fn(*args)`, called in a forked child only; the parent counts as usual."""
-        parent, count = os.getpid(), store._count_chunk
-        return lambda chunk: count(chunk) if os.getpid() == parent else fn(*args)
+        parent, count = os.getpid(), store.euler_factors
+        return lambda *chunk, **options: (count(*chunk, **options)
+                                          if os.getpid() == parent else fn(*args))
 
     @staticmethod
     def assert_no_child_left():
@@ -145,7 +146,7 @@ class TestWorkerPool:
             raise CeilingExceeded("raised in a child")
 
         monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 8)
-        monkeypatch.setattr(store, "_count_chunk", self.in_child(past_ceiling))
+        monkeypatch.setattr(store, "euler_factors", self.in_child(past_ceiling))
         with pytest.raises(CeilingExceeded) as excinfo:
             compute_range(g2b, 97, with_lpoly=True, workers=2)
         assert str(excinfo.value) == "raised in a child"
@@ -156,14 +157,14 @@ class TestWorkerPool:
 
     def test_own_error_waits_for_children(self, c11, monkeypatch):
         """Chunk 0 raises in this process; the child is still reaped first."""
-        parent, count = os.getpid(), store._count_chunk
+        parent, count = os.getpid(), store.euler_factors
 
-        def fails_here(chunk):
+        def fails_here(*chunk, **options):
             if os.getpid() == parent:
                 raise CeilingExceeded("raised in the parent")
-            return count(chunk)
+            return count(*chunk, **options)
 
-        monkeypatch.setattr(store, "_count_chunk", fails_here)
+        monkeypatch.setattr(store, "euler_factors", fails_here)
         with pytest.raises(CeilingExceeded, match="^raised in the parent$"):
             compute_range(c11, 5000, workers=2)
         self.assert_no_child_left()
@@ -191,12 +192,12 @@ class TestWorkerPool:
                                      workers=workers)
 
     def test_child_without_result(self, c11, monkeypatch):
-        count = store._count_chunk
-        monkeypatch.setattr(store, "_count_chunk", self.in_child(os._exit, 1))
+        count = store.euler_factors
+        monkeypatch.setattr(store, "euler_factors", self.in_child(os._exit, 1))
         with pytest.raises(ChildFailed, match=r"ended with exit status 1 and no result$"):
             compute_range(c11, 5000, workers=2)
         self.assert_no_child_left()
-        monkeypatch.setattr(store, "_count_chunk", count)
+        monkeypatch.setattr(store, "euler_factors", count)
         assert compute_range(c11, 5000, workers=2) == compute_range(c11, 5000)
 
     def test_workers_clamped_to_cpu_count(self, c11, forks, monkeypatch):
@@ -205,7 +206,7 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         for workers in (10 ** 6, 0):
             assert compute_range(c11, 5000, workers=workers) == compute_range(c11, 5000)
-        assert forks == [223, 223, 223, 223]             # 669 primes in 3 chunks
+        assert forks == [223, 222, 223, 222]     # 668 good lanes of 669 primes in 3 chunks
 
     def test_fork_for_one_large_block(self, c11, c37, forks, monkeypatch):
         """A batch of many small blocks stays serial; one block of
@@ -219,7 +220,20 @@ class TestWorkerPool:
         large = {c11: 250, c37: 200}                      # 53 and 46 primes
         assert store.compute_ranges(large, workers=2) == \
             {curve: compute_range(curve, p_max) for curve, p_max in large.items()}
-        assert forks == [49]
+        assert forks == [48]                              # 97 good lanes in 2 chunks
+
+    def test_no_good_lane_counts_nothing(self, c32, forks, monkeypatch):
+        """32a is bad at 2, its only prime <= 2: a block large enough to
+        fork calls no counter and forks no child."""
+        def no_count(*args, **kwargs):
+            raise AssertionError("a bad lane was counted")
+
+        monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 1)
+        monkeypatch.setattr(store, "euler_factors", no_count)
+        monkeypatch.setattr(curves, "count_points_many", no_count)
+        table = compute_range(c32, 2, workers=2)
+        assert table.p.tolist() == [2] and table.good.tolist() == [False]
+        assert forks == []
 
     def test_serial_without_fork(self, c11, forks, monkeypatch):
         monkeypatch.delattr(os, "fork")
@@ -335,6 +349,23 @@ def random_curve(draw, label):
             draw(st.lists(st.integers(0, 1), min_size=4, max_size=4)), 1)
     except ValidationError:
         return None
+
+
+class TestBadPrimes:
+    @settings(max_examples=20, deadline=None)
+    @given(st.data(), st.integers(1, 2 ** 70), st.integers(2, 10 ** 4))
+    def test_masks_decide_good_rows(self, data, conductor, p_max):
+        """The masks are p | N and p | disc, computed here one prime at a
+        time, also for a conductor past int64.  The table's good rows are the
+        primes in neither."""
+        curve = random_curve(data.draw, "r")
+        assume(curve is not None)
+        curve = replace(curve, conductor=conductor)
+        primes = sieve_primes(p_max)
+        by_n, by_disc = curve.bad_primes(primes)
+        assert by_n.tolist() == [conductor % p == 0 for p in primes.tolist()]
+        assert by_disc.tolist() == [curve.discriminant % p == 0 for p in primes.tolist()]
+        assert np.array_equal(compute_range(curve, p_max).good, ~(by_n | by_disc))
 
 
 class TestComputeRanges:

@@ -27,7 +27,7 @@ class TestCharValue:
                 minus = sy.TorusPoint((math.pi,) * g)
                 assert sy.char_value(w, ident) == pytest.approx(d, abs=1e-9)
                 assert sy.char_value(w, minus) == pytest.approx(
-                    (-1) ** w.degree * d, abs=1e-9)
+                    (-1) ** sum(w.parts) * d, abs=1e-9)
 
     def test_lambda11_identity_value(self):
         w = sy.DominantWeight(2, (1, 1))
@@ -241,7 +241,7 @@ class TestAdams:
         # |lambda| is odd; at rank 3 the doubled angles meet off the diagonal
         for g in (1, 2, 3):
             for w in all_weights(g):
-                assert sy.fs_indicator(w) == (-1) ** w.degree
+                assert sy.fs_indicator(w) == (-1) ** sum(w.parts)
 
     def test_fs_equals_delta_of_adams(self):
         for g in (1, 2):
