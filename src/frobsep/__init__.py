@@ -5,7 +5,7 @@ import importlib
 
 _MODULE_OF = {name: module for module, names in {
     "curves": "CurveSpec count_points count_points_Fp2 count_points_many "
-              "euler_factor euler_factors unitarized_eigenangles",
+              "euler_factor unitarized_eigenangles",
     "kernels": "KernelParams KernelSumReport bach_kernel bach_kernel_contour "
                "chebyshev_sum prime_power_tail weighted_sum",
     "separation": "SeparationRecord least_separating_prime psi_value "

@@ -209,6 +209,7 @@ def _cmd_sum(args, out) -> int:
         evaluator = VirtualCharEvaluator(chi, *(
             store.compute_range(curve, p_max, with_lpoly=True, **_counting(args))
             for curve in specs))
+    store.check_p_max(p_max, args.count_ceiling)     # the trivial sum sieves to p_max too
     print(kernels.KernelSumReport.CSV_HEADER, file=out)
     for x in ladder:
         report = kernels.weighted_sum(

@@ -1,20 +1,20 @@
 """Point counting and Euler factors for genus-1 and genus-2 curves over Q.
 
 For odd p the affine solutions of y^2 + h(x) y = f(x) biject with
-solutions of z^2 = F(x), F = 4f + h^2.  `count_points_many` counts many
-lanes, each one curve at one prime, in one call.  Genus-1 lanes at
-229 < p < 2^28 are counted by Shanks-Mestre baby-step giant-step on the
-group order in the Hasse interval, O(p^{1/4}) group operations per lane
-(Cohen, A Course in Computational Algebraic Number Theory, 7.4.3), run in
-lockstep with one numpy int64 lane each: projective coordinates, so no
-step inverts, and one batch inversion per lane to compare x-coordinates.
-Every other lane, and any the search leaves undecided within its point
-budget, goes through a uint8 square table and a blocked Horner sweep over
-all of F_p, one pass per prime for all its curves, reduced mod p only
-where int64 could overflow; the tests keep the sweep and a scalar search
-as references for the group-order route.  `euler_factors` adds the a_2 of
-genus-2 lanes from counts over F_{p^2}, where the norm map to F_p reads the
-root counts off the same square table.
+solutions of z^2 = F(x), F = 4f + h^2.  `euler_factors`, the one counting
+body, counts many lanes, each one curve at one prime, in one call, after
+each entry's one `check_lanes` pass.  Genus-1 lanes at 229 < p < 2^28 are
+counted by Shanks-Mestre baby-step giant-step on the group order in the
+Hasse interval, O(p^{1/4}) group operations per lane (Cohen, A Course in
+Computational Algebraic Number Theory, 7.4.3), run in lockstep with one
+numpy int64 lane each: projective coordinates, so no step inverts, and one
+batch inversion per lane to compare x-coordinates.  Every other lane, and
+any the search leaves undecided within its point budget, goes through a
+uint8 square table and a blocked Horner sweep over all of F_p, one pass per
+prime for all its curves, reduced mod p only where int64 could overflow;
+the tests keep the sweep and a scalar search as references for the
+group-order route.  Genus-2 a_2 comes from counts over F_{p^2}, where the
+norm map to F_p reads the root counts off the same square table.
 """
 
 from __future__ import annotations
@@ -186,9 +186,10 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 def check_lanes(curves: list[CurveSpec], primes, *, ceiling: int | None = None,
                 fp2_ceiling: int | None = None) -> None:
-    """The one guard pass of the lanes (curves[i], primes[i]).  Raises, in order, at the
-    largest prime past `ceiling`, the first model bad at p, with `fp2_ceiling` the first
-    genus-2 lane whose p^2 is past it, and the largest genus-1 prime past the search bound."""
+    """The one guard pass of the lanes (curves[i], primes[i]), once per entry.  Raises,
+    in order, at the largest prime past `ceiling`, the first model bad at p, with
+    `fp2_ceiling` the first genus-2 lane whose p^2 is past it, and the largest
+    genus-1 prime past the search bound."""
     primes = np.asarray(primes)         # objects when beyond int64
     if ceiling is not None and primes.size and primes.max() > ceiling:
         raise CeilingExceeded(f"p={primes.max()} above counting ceiling {ceiling}")
@@ -219,31 +220,12 @@ def count_points(curve: CurveSpec, p: int, *,
 
 def count_points_many(curves, primes, *,
                       ceiling: int = DEFAULT_FP_CEILING) -> np.ndarray:
-    """Projective points over F_p of each lane (curve, p): `curves` is one
-    curve for every prime of `primes`, or one curve per prime.
-
-    Genus-1 lanes above MESTRE_BOUND go through one lockstep group-order
-    search, which accepts p < SEARCH_PMAX only; every other lane, and any
-    the search leaves undecided, is swept, one pass per prime.
-    """
+    """Projective points over F_p of each lane (curve, p), Weil bound asserted:
+    `curves` is one curve for every prime of `primes`, or one curve per prime.
+    A checked view of `euler_factors`: p + 1 plus its c_1 = -a_p column."""
     lanes = [curves] * len(primes) if isinstance(curves, CurveSpec) else list(curves)
     check_lanes(lanes, primes, ceiling=ceiling)
-    primes = np.asarray(primes, dtype=np.int64)
-    counts = np.zeros(len(primes), dtype=np.int64)
-    bigs = [_square_completed(c.f, c.h) for c in lanes]
-    searched = (primes > MESTRE_BOUND) & np.array([c.genus == 1 for c in lanes], dtype=bool)
-    if searched.any():
-        counts[searched] = _count_points_bsgs(
-            [bigs[i] for i in np.flatnonzero(searched).tolist()], primes[searched])
-    by_prime: dict[int, list[int]] = {}
-    for i in np.flatnonzero(counts == 0).tolist():
-        by_prime.setdefault(int(primes[i]), []).append(i)
-    for p, rows in by_prime.items():
-        found = ([_count_points_char2(lanes[i]) for i in rows] if p == 2 else
-                 _count_points_sweep([[c % p for c in bigs[i]] for i in rows], p))
-        for i, n in zip(rows, found):
-            counts[i] = n
-    return counts
+    return euler_factors(lanes, primes, lpoly=False)[:, 1] + np.asarray(primes, np.int64) + 1
 
 
 _BLOCK: Final = 2 ** 15        # cells per sweep block: 256 KiB of int64
@@ -537,19 +519,25 @@ def _count_points_char2(curve: CurveSpec) -> int:
 
 def count_points_Fp2(curve: CurveSpec, p: int, *,
                      ceiling: int = DEFAULT_FP2_CEILING) -> int:
-    """Points of a genus-2 curve over F_{p^2} = F_p[t]/(t^2 - n).
+    """Points of a genus-2 curve over F_{p^2}: p^2 + 1 - (c_1^2 - 2 c_2) of its factor."""
+    if curve.genus != 2:
+        raise UnsupportedModel("F_{p^2} counts are only needed for genus 2")
+    check_lanes([curve], [p], fp2_ceiling=ceiling)    # genus-2 models are all bad at 2
+    c1, c2 = euler_factors([curve], [p])[0, 1:3].tolist()
+    return p * p + 1 - (c1 * c1 - 2 * c2)
+
+
+def _count_points_fp2(big: tuple[int, ...], p: int) -> int:
+    """Points of z^2 = F(x), F = `big`, over F_{p^2} = F_p[t]/(t^2 - n), odd p.
 
     n is the least quadratic non-residue mod p.  A nonzero w in F_{p^2} is
     a square exactly when its norm a0^2 - n a1^2 is a square in F_p, so the
     F_p square table, read at the norm, counts the roots of z^2 = F(x).
     """
-    if curve.genus != 2:
-        raise UnsupportedModel("F_{p^2} counts are only needed for genus 2")
-    check_lanes([curve], [p], fp2_ceiling=ceiling)    # genus-2 models are all bad at 2
     n = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)
     u = np.repeat(np.arange(p, dtype=np.int64), p)     # x = u + v t
     v = np.tile(np.arange(p, dtype=np.int64), p)
-    big = _trim(c % p for c in _square_completed(curve.f, curve.h))
+    big = _trim(c % p for c in big)
     a0 = a1 = np.zeros(p * p, dtype=np.int64)
     for c in big[::-1]:
         a0, a1 = (a0 * u + n * (a1 * v % p) + c) % p, (a0 * v + a1 * u) % p
@@ -563,15 +551,26 @@ def count_points_Fp2(curve: CurveSpec, p: int, *,
 # Euler factors and eigenvalue angles
 
 
-def euler_factors(lanes: list[CurveSpec], primes, *, lpoly: bool = True,
-                  ceiling: int = DEFAULT_FP_CEILING,
-                  fp2_ceiling: int = DEFAULT_FP2_CEILING) -> np.ndarray:
-    """Euler-factor rows of the lanes (lanes[i], primes[i]), ascending in T and zero-padded
-    to 5 columns, or only (1, -a_1) without `lpoly`: every a_1 from one `count_points_many`
-    call, Weil bound asserted, and each genus-2 a_2 from an F_{p^2} count."""
-    primes = np.asarray(primes)         # objects when beyond int64: the count raises
-    a1 = primes + 1 - count_points_many(lanes, primes, ceiling=ceiling)
+def euler_factors(lanes: list[CurveSpec], primes, *, lpoly: bool = True) -> np.ndarray:
+    """Euler-factor rows of lanes (lanes[i], primes[i]) that passed `check_lanes`, ascending
+    in T and zero-padded to 5 columns, or only (1, -a_1) without `lpoly`: every F_p route,
+    the Weil bound on the a_1 column, and each genus-2 a_2 from an F_{p^2} count."""
+    primes = np.asarray(primes, dtype=np.int64)
     genus = np.array([c.genus for c in lanes], dtype=np.int64)
+    counts = np.zeros(len(primes), dtype=np.int64)
+    bigs = [_square_completed(c.f, c.h) for c in lanes]
+    searched = (primes > MESTRE_BOUND) & (genus == 1)
+    if searched.any():
+        counts[searched] = _count_points_bsgs(
+            [bigs[i] for i in np.flatnonzero(searched).tolist()], primes[searched])
+    by_prime: dict[int, list[int]] = {}
+    for i in np.flatnonzero(counts == 0).tolist():
+        by_prime.setdefault(int(primes[i]), []).append(i)
+    for p, at_p in by_prime.items():
+        found = ([_count_points_char2(lanes[i]) for i in at_p] if p == 2 else
+                 _count_points_sweep([[c % p for c in bigs[i]] for i in at_p], p))
+        counts[at_p] = found
+    a1 = primes + 1 - counts
     weil = np.flatnonzero(a1 * a1 > 4 * genus * genus * primes)
     if weil.size:
         i = int(weil[0])
@@ -582,7 +581,7 @@ def euler_factors(lanes: list[CurveSpec], primes, *, lpoly: bool = True,
     rows[:, 2] = np.where((genus == 1) & lpoly, primes, 0)
     for i in np.flatnonzero((genus == 2) & lpoly).tolist():
         p, a = int(primes[i]), int(a1[i])
-        s2 = p * p + 1 - count_points_Fp2(lanes[i], p, ceiling=fp2_ceiling)
+        s2 = p * p + 1 - _count_points_fp2(bigs[i], p)
         if (a * a - s2) % 2 != 0:
             raise ArithmeticError(f"{lanes[i].label}: inconsistent power sums at p={p}")
         rows[i, 2:] = (a * a - s2) // 2, -p * a, p * p
@@ -593,9 +592,9 @@ def euler_factor(curve: CurveSpec, p: int, *,
                  ceiling: int = DEFAULT_FP_CEILING,
                  fp2_ceiling: int = DEFAULT_FP2_CEILING) -> tuple[int, ...]:
     """Integer Euler-factor coefficients, ascending in T (degree 2*genus),
-    Weil bound asserted: the one-lane case of `euler_factors`."""
-    row = euler_factors([curve], [p], ceiling=ceiling, fp2_ceiling=fp2_ceiling)[0]
-    return tuple(row[:2 * curve.genus + 1].tolist())
+    Weil bound asserted: the one-lane case of `euler_factors`, guarded."""
+    check_lanes([curve], [p], ceiling=ceiling, fp2_ceiling=fp2_ceiling)
+    return tuple(euler_factors([curve], [p])[0, :2 * curve.genus + 1].tolist())
 
 
 def unitarized_roots(lpoly, p: int) -> np.ndarray:

@@ -7,9 +7,10 @@ primes each and are written atomically (temp file + rename, single
 writer).  All stored values are integers; normalized traces are
 recomputed on demand to avoid precision drift.  Many curves are counted
 together as lanes (curve, prime): `CurveSpec.bad_primes` decides each block's
-bad primes once, and their rows stay zero; then one guard pass, then one
-`euler_factors` call per chunk of interleaved good lanes.  A parallel count
-forks its children for that call alone and reaps them before it returns.
+bad primes once, and their rows stay zero; one guard pass checks every good
+lane, and each interleaved chunk of them gets one `euler_factors` call on
+its lanes, primes and `lpoly` alone.  A parallel count forks its children
+for that call alone and reaps them before it returns.
 """
 
 from __future__ import annotations
@@ -166,9 +167,8 @@ def compute_ranges(p_maxes: dict[CurveSpec, int], *, with_lpoly: bool = False,
     lanes = [lanes[i] for i in np.flatnonzero(good).tolist()]
     curves.check_lanes(lanes, primes[good], fp2_ceiling=fp2_ceiling if with_lpoly else None)
     k = workers if any(len(block) >= _PARALLEL_THRESHOLD for _, block, *_ in todo) else 1
-    options = dict(lpoly=with_lpoly, ceiling=ceiling, fp2_ceiling=fp2_ceiling)
     factors = np.zeros((len(primes), 5), dtype=np.int64)
-    factors[good] = _count_lanes(k, lanes, primes[good], options)
+    factors[good] = _count_lanes(k, lanes, primes[good], with_lpoly)
     ends = np.cumsum([len(primes) for _, primes, _, _ in todo])[:-1]
     for block, rows in zip(todo, np.split(factors, ends)):
         curve, primes, path, _ = block
@@ -195,7 +195,7 @@ def _join(curve: CurveSpec, blocks: list[TraceTable]) -> TraceTable:
     return TraceTable(curve.label, curve.conductor, curve.genus, lpoly=lpoly, **columns)
 
 
-def _count_lanes(k, lanes, primes, options) -> np.ndarray:
+def _count_lanes(k, lanes, primes, lpoly) -> np.ndarray:
     """`euler_factors` of every lane, curve lanes[i] at primes[i], in order.
     With k > 1, this process and up to k - 1 forked children each count one
     interleaved chunk of the lanes: chunks cost alike, where contiguous ones
@@ -205,9 +205,9 @@ def _count_lanes(k, lanes, primes, options) -> np.ndarray:
     reaps = []
     try:
         for chunk in chunks[1:]:
-            reaps.append(_fork(*chunk, options))
+            reaps.append(_fork(*chunk, lpoly))
         if chunks:
-            factors[0::k] = euler_factors(*chunks[0], **options)
+            factors[0::k] = euler_factors(*chunks[0], lpoly=lpoly)
     finally:
         parts = [reap() for reap in reaps]    # even when a fork or chunk 0 raised
     for i, part in enumerate(parts, start=1):
@@ -217,15 +217,15 @@ def _count_lanes(k, lanes, primes, options) -> np.ndarray:
     return factors
 
 
-def _fork(lanes, primes, options):
-    """Fork a child that pickles `euler_factors(lanes, primes, **options)`, or
+def _fork(lanes, primes, lpoly):
+    """Fork a child that pickles `euler_factors(lanes, primes, lpoly=lpoly)`, or
     its error, to a pipe.  Returns the function that reads the pipe to EOF,
     reaps the child and returns its factors or the exception to raise."""
     read, write = os.pipe()
     if (pid := os.fork()) == 0:         # the child: its body ends in os._exit
         try:
             try:
-                result = euler_factors(lanes, primes, **options)
+                result = euler_factors(lanes, primes, lpoly=lpoly)
             except BaseException as exc:    # raised again, with its type, by the parent
                 import traceback
                 exc.__notes__ = [traceback.format_exc()]    # shows any earlier note

@@ -429,6 +429,9 @@ class TestMalformedInput:
         (["sum", "curve.json", "curve.json", "--x", "1e3,abc"], 1,
          "bad --x list '1e3,abc'"),
         (["sum", "curve.json", "--x", "1e3"], 2, "psi sums need two curves"),
+        # chi = 1 reads no table, but its sum sieves every prime up to x
+        (["--count-ceiling", "1000", "sum", "curve.json", "--x", "2000", "--chi", "trivial"],
+         2, "p_max=2000 above counting ceiling 1000"),
         (["kernel-check", "--y", ","], 1, "empty --y list"),
         (["kernel-check", "--y", "nan"], 1, "every y and T must be finite"),
         (["kernel-check", "--y", "2,inf"], 1, "every y and T must be finite"),
@@ -459,6 +462,7 @@ class TestMalformedInput:
             "separate-pmax-not-number", "fp2-ceiling-fractional",
             "count-ceiling-infinite",
             "sum-infinite-x", "sum-bad-x-list", "sum-psi-one-curve",
+            "sum-trivial-above-ceiling",
             "kernel-check-empty-y", "kernel-check-nan-y", "kernel-check-infinite-y",
             "kernel-check-nan-T", "kernel-check-infinite-T", "kernel-check-huge-T",
             "separate-missing-arguments", "count-missing-pmax", "parallelism-not-int",
@@ -696,18 +700,19 @@ class TestWindowedSearch:
 
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """Primes handed to the counter, the widths each curve's table is
-        built for, each counting call's {label: width}, and the cache files
-        read."""
-        from frobsep import curves, store
+        """Primes handed to the counting body, the widths each curve's table
+        is built for, each counting call's {label: width}, and the cache
+        files read.  Blocks stay below the fork threshold, so every lane is
+        counted in this process."""
+        from frobsep import store
 
         seen = {"primes": [], "widths": {}, "calls": [], "imports": []}
-        count, compute, read = (curves.count_points_many, store.compute_ranges,
+        count, compute, read = (store.euler_factors, store.compute_ranges,
                                 store.import_csv)
 
-        def counting(curve, primes, **kw):
+        def counting(lanes, primes, **kw):
             seen["primes"] += list(primes)
-            return count(curve, primes, **kw)
+            return count(lanes, primes, **kw)
 
         def computing(p_maxes, **kw):
             seen["calls"].append({curve.label: p_max for curve, p_max in p_maxes.items()})
@@ -719,7 +724,7 @@ class TestWindowedSearch:
             seen["imports"].append(path)
             return read(path, *args)
 
-        monkeypatch.setattr(curves, "count_points_many", counting)
+        monkeypatch.setattr(store, "euler_factors", counting)
         monkeypatch.setattr(store, "compute_ranges", computing)
         monkeypatch.setattr(store, "import_csv", reading)
         return seen

@@ -244,8 +244,8 @@ class TestFrobeniusTrace:
         assert 5 + 1 - count_points(curve, 5) == 5 + 1 - n_enum == -2
 
     def test_weil_violation_raises(self, c11, g2b, monkeypatch):
-        monkeypatch.setattr(curves, "count_points_many",
-                            lambda curve, primes, **kw: np.asarray(primes) + 101)
+        monkeypatch.setattr(curves, "_count_points_sweep",     # counts p <= 229
+                            lambda bigs, p: [p + 101] * len(bigs))
         for curve in (c11, g2b):                  # a_3 = -100
             with pytest.raises(ValidationError, match="Weil bound"):
                 euler_factor(curve, 3)
@@ -283,6 +283,19 @@ class TestFp2:
 
 
 class TestEulerFactor:
+    def test_one_guard_pass_per_call(self, c11, g2b, monkeypatch):
+        """Each entry runs `check_lanes` once and then reads `euler_factors`."""
+        guards, check = [], curves.check_lanes
+        monkeypatch.setattr(curves, "check_lanes",
+                            lambda *args, **kw: guards.append(1) or check(*args, **kw))
+        calls = [(euler_factor, c11, 97), (euler_factor, g2b, 97),
+                 (count_points_Fp2, g2b, 97), (count_points, g2b, 97),
+                 (curves.count_points_many, c11, [233, 239, 241])]
+        for entry, curve, p in calls:
+            guards.clear()
+            entry(curve, p)
+            assert guards == [1], entry.__name__
+
     def test_genus1_shape(self, c32):
         assert euler_factor(c32, 3) == (1, 0, 3)
 

@@ -97,12 +97,14 @@ class TestWorkerPool:
     @pytest.fixture
     def forks(self, monkeypatch):
         """Lanes of each chunk handed to `_fork`, which counts it here and
-        starts no process."""
+        starts no process.  A chunk gets its lanes, primes and `lpoly`, and
+        nothing else."""
         started = []
 
-        def recording(lanes, primes, options):
+        def recording(lanes, primes, lpoly):
+            assert type(lpoly) is bool
             started.append(len(lanes))
-            part = store.euler_factors(lanes, primes, **options)
+            part = store.euler_factors(lanes, primes, lpoly=lpoly)
             return lambda: part
 
         monkeypatch.setattr(store, "_fork", recording)
@@ -230,10 +232,27 @@ class TestWorkerPool:
 
         monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 1)
         monkeypatch.setattr(store, "euler_factors", no_count)
-        monkeypatch.setattr(curves, "count_points_many", no_count)
+        monkeypatch.setattr(curves, "euler_factors", no_count)
         table = compute_range(c32, 2, workers=2)
         assert table.p.tolist() == [2] and table.good.tolist() == [False]
         assert forks == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("with_lpoly", [False, True])
+    def test_one_guard_pass_per_request(self, c11, g2b, forks, monkeypatch, workers,
+                                        with_lpoly):
+        """`compute_ranges` runs `check_lanes` once over all its good lanes;
+        every chunk, counted in this process here, trusts them."""
+        guards, check = [], curves.check_lanes
+        monkeypatch.setattr(curves, "check_lanes",
+                            lambda *args, **kw: guards.append(1) or check(*args, **kw))
+        monkeypatch.setattr(store, "_PARALLEL_THRESHOLD", 8)
+        for p_maxes in ({c11: 5000}, {g2b: 97}, {c11: 500, g2b: 97}):
+            guards.clear()
+            store.compute_ranges(p_maxes, with_lpoly=with_lpoly, workers=workers)
+            assert guards == [1], p_maxes
+        # 668, 23 and 94 + 23 good lanes, in two chunks at two workers
+        assert forks == ([] if workers == 1 else [334, 11, 58])
 
     def test_serial_without_fork(self, c11, forks, monkeypatch):
         monkeypatch.delattr(os, "fork")
@@ -388,15 +407,15 @@ class TestComputeRanges:
 
     def test_euler_factors_for_genus_2_only(self, c11, g2b, monkeypatch):
         """One chunk counts every F_p point, Euler-factor lanes included, in
-        one `count_points_many` call."""
+        one call of the counting body."""
         p_maxes = {c11: 500, g2b: 97}
-        calls, count = [], curves.count_points_many
+        calls, count = [], store.euler_factors
 
         def counting(lanes, primes, **kw):
             calls.append(len(primes))
             return count(lanes, primes, **kw)
 
-        monkeypatch.setattr(curves, "count_points_many", counting)
+        monkeypatch.setattr(store, "euler_factors", counting)
         batch = store.compute_ranges(p_maxes, with_lpoly=True)
         assert calls == [94 + 23]        # good primes of 11a1 <= 500 and g2b <= 97
         assert batch == self.one_by_one(p_maxes, with_lpoly=True)
@@ -437,7 +456,7 @@ class TestComputeRanges:
         def no_count(*args, **kwargs):
             raise AssertionError("counted before the conflict was found")
 
-        monkeypatch.setattr(curves, "count_points_many", no_count)
+        monkeypatch.setattr(store, "euler_factors", no_count)
         with pytest.raises(ConflictError, match="two curves under one label"):
             store.compute_ranges(p_maxes, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
@@ -523,7 +542,7 @@ class TestCache:
         def no_count(*args, **kwargs):
             raise AssertionError("cached bucket was counted again")
 
-        monkeypatch.setattr(curves, "count_points_many", no_count)
+        monkeypatch.setattr(store, "euler_factors", no_count)
         assert compute_range(c11, 199, cache_dir=tmp_path) == truth
 
     def test_bucket_missing_a_prime_is_recounted(self, c11, tmp_path,
