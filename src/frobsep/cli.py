@@ -133,7 +133,7 @@ def _cmd_count(args, out) -> int:
           file=out)
     print(f"primes <= {args.pmax}: {len(table.p)} ({good} good, "
           f"{len(table.p) - good} bad)", file=out)
-    by_n, by_disc = store.bad_prime_sets(curve, args.pmax)
+    by_n, by_disc = store.bad_prime_sets(curve, table.p)
     if by_n != by_disc:
         print(f"bad-prime sets differ: conductor {by_n} vs discriminant {by_disc}",
               file=out)

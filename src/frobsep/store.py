@@ -246,13 +246,12 @@ def _fork(lanes, primes, lpoly):
     return reap
 
 
-def bad_prime_sets(curve: CurveSpec, p_max: int) -> tuple[list[int], list[int]]:
-    """Primes <= p_max dividing the conductor vs. dividing the discriminant.
+def bad_prime_sets(curve: CurveSpec, primes) -> tuple[list[int], list[int]]:
+    """The `primes` dividing the conductor vs. dividing the discriminant.
 
-    The table flags a prime bad when it lands in either set; callers report
-    the discrepancy when the two disagree.
+    The table flags a prime bad when it lands in either set; callers pass
+    its primes and report the discrepancy when the two disagree.
     """
-    primes = sieve_primes(p_max)
     return tuple(primes[mask].tolist() for mask in curve.bad_primes(primes))
 
 

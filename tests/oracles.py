@@ -4,8 +4,10 @@ Everything here recomputes from definitions: exhaustive enumeration over
 all affine pairs, explicit Legendre symbols, the F_p sweep reduced at
 every step, point orders by repeated addition, the scalar affine
 baby-step giant-step search, schoolbook quadratic extensions, polished
-numeric polynomial roots and sympy discriminants.  None of it shares code
-with the production counting paths or the resolvent eigenangles.
+numeric polynomial roots, sympy discriminants, and mpmath values of the
+truncated Bach-kernel contour (through Ei) and of Li.  None of it shares
+code with the production counting paths, the resolvent eigenangles or
+the kernel quadrature.
 """
 
 from __future__ import annotations
@@ -413,3 +415,36 @@ def sextic_discriminant(coeffs) -> int:
     if cs[5] == 0:
         return 0
     return cs[5] ** 2 * int(sympy.discriminant(sympy.Poly(cs[5::-1], x)))
+
+
+def contour_integral(y: float, a: float, T: float):
+    """(1/2 pi i) int y^s/(s+a)^2 ds over Re s = 2, |Im s| <= T, as a 50-digit
+    mpmath number: (y^2/pi) Re int_0^T e^(iwt) (c+it)^(-2) dt, w = log y.
+
+    With c = 2 + a and u = c + it the integral is e^(-wc)/i [F(c+iT) - F(c)],
+    F(u) = -e^(wu)/u + w Ei(wu).  For w < 0 the path leaves the negative
+    real axis, Ei's cut, downwards, so its start takes Ei(wc) - i pi.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        y, c, T = mp.mpf(y), 2 + mp.mpf(a), mp.mpf(T)
+        w = mp.log(y)
+        if w == 0:
+            inner = 1j / (c + 1j * T) - 1j / c
+        else:
+            def F(u, ei):
+                return -mp.exp(w * u) / u + w * ei
+
+            start = mp.ei(w * c) - (1j * mp.pi if w < 0 else 0)
+            inner = mp.exp(-w * c) / 1j * (F(c + 1j * T, mp.ei(w * (c + 1j * T)))
+                                           - F(c, start))
+        return y * y / mp.pi * mp.re(inner)
+
+
+def li_from_two(x: float):
+    """li(x) - li(2) as a 50-digit mpmath number."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        return mp.li(x) - mp.li(2)

@@ -480,11 +480,10 @@ class TestMalformedInput:
 
 
 class TestRuntimeImports:
-    """sum, delta and small counts run without scipy.optimize and sympy; no
-    subcommand loads a process pool's modules; count, separate and scan
-    load no kernel sums or character theory; `import frobsep` loads no
-    numpy, and the CLI starts OpenBLAS with one thread unless the caller
-    set a count."""
+    """No subcommand loads scipy or a process pool's modules; sum, delta and
+    small counts load no sympy; count, separate and scan load no kernel sums
+    or character theory; `import frobsep` loads no numpy, and the CLI starts
+    OpenBLAS with one thread unless the caller set a count."""
 
     PROBE = (
         "import runpy, sys\n"
@@ -494,7 +493,7 @@ class TestRuntimeImports:
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
         "print('exit', code, sorted(m for m in (\n"
-        "    'scipy.optimize', 'sympy', 'concurrent.futures.process', 'multiprocessing',\n"
+        "    'scipy', 'sympy', 'concurrent.futures.process', 'multiprocessing',\n"
         "    'frobsep.kernels', 'frobsep.symplectic', 'frobsep.laurent')\n"
         "    if m in sys.modules))\n"
     )
@@ -543,6 +542,7 @@ class TestRuntimeImports:
         last = self.run_module(["kernel-check", "--y", "1.5", "--T", "1000"], tmp_path)
         assert last.startswith("exit 0 [")
         assert "multiprocessing" not in last and "concurrent" not in last
+        assert "scipy" not in last
 
     def test_package_import_defers_numpy(self, tmp_path):
         probe = "import sys, frobsep; print('numpy' in sys.modules)"

@@ -60,8 +60,16 @@ class TestContour:
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert all(o >= 0.9 for o in orders)
 
+    @pytest.mark.parametrize("a", [0.25, 0.1])
+    @pytest.mark.parametrize("T", [1e3, 1e4, 1e5, 1e6, 1e7])
+    def test_matches_mpmath(self, T, a):
+        for y in (0.01, 0.1, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 2.0, math.e, 10.0,
+                  100.0, 1000.0):
+            err = abs(bach_kernel_contour(y, a, T) - oracles.contour_integral(y, a, T))
+            assert err <= 1e-16 * max(1.0, y * y), (y, float(err))
+
     def test_low_truncation_rejected(self):
-        # 1e12 is too high, not too low: it is rejected before 2e8 windows run
+        # 1e12 is too high, not too low: the accuracy tests stop at 10^7
         for T in (100.0, 1e12):
             with pytest.raises(DomainError):
                 bach_kernel_contour(2.0, 0.25, T)
@@ -153,8 +161,14 @@ class TestChebyshev:
 
     def test_li_at_two_is_zero(self):
         assert li(2.0) == 0.0
-        with pytest.raises(DomainError):
-            li(1.5)
+        for x in (1.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                li(x)
+
+    def test_li_matches_mpmath(self):
+        for x in [2.0 + 1e-9, 2.5, *np.geomspace(2.0, 1e12, 60).tolist()]:
+            want = oracles.li_from_two(x)
+            assert abs(li(x) - want) <= 1e-14 * max(1.0, want), x
 
     def test_li_value(self):
         # Li(1000) with the lower limit at 2

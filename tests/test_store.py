@@ -76,11 +76,11 @@ class TestComputeRange:
             compute_range(c11, -5)
 
     def test_bad_prime_set_report(self, g2b):
-        by_n, by_disc = bad_prime_sets(g2b, 30)
+        by_n, by_disc = bad_prime_sets(g2b, sieve_primes(30))
         assert by_n == [2, 13]
         assert by_disc == [2, 13]
         lopsided = CurveSpec.elliptic("11a1loN", (0, -1, 1, -10, -20), 11 * 3)
-        by_n, by_disc = bad_prime_sets(lopsided, 30)
+        by_n, by_disc = bad_prime_sets(lopsided, sieve_primes(30))
         assert by_n == [3, 11] and by_disc == [11]
 
 
